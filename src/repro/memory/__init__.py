@@ -8,7 +8,7 @@ SPOILER / row-buffer-conflict timing side channels of Appendix B/C.
 """
 
 from repro.memory.geometry import DRAMAddress, DRAMGeometry
-from repro.memory.dram import DRAMArray, VulnerableCell
+from repro.memory.dram import CellMap, DRAMArray
 from repro.memory.frame_cache import PageFrameCache
 from repro.memory.page_cache import PageCache
 from repro.memory.mmap import MappedFile, OSMemoryModel
@@ -18,7 +18,7 @@ __all__ = [
     "DRAMGeometry",
     "DRAMAddress",
     "DRAMArray",
-    "VulnerableCell",
+    "CellMap",
     "PageFrameCache",
     "PageCache",
     "OSMemoryModel",

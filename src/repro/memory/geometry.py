@@ -36,7 +36,8 @@ class DRAMGeometry:
     rows_per_bank:
         Rows in each bank.
     row_size_bytes:
-        Bytes per row; 8192 by default (two 4 KB page frames per row).
+        Bytes per row, a power of two; 8192 by default (two 4 KB page
+        frames per row).
     """
 
     num_banks: int = 16
@@ -51,6 +52,10 @@ class DRAMGeometry:
         for field in ("num_banks", "rows_per_bank", "row_size_bytes"):
             if getattr(self, field) <= 0:
                 raise MemoryModelError(f"{field} must be positive")
+        if self.row_size_bytes & (self.row_size_bytes - 1):
+            # Real DRAM rows are; the fault-map draw decodes columns with an
+            # exact multiply-shift that needs a power-of-two range.
+            raise MemoryModelError(f"row size {self.row_size_bytes} must be a power of two")
 
     @property
     def pages_per_row(self) -> int:

@@ -2,7 +2,7 @@
 
 Hammer *intensity* abstracts how hard a pattern disturbs a victim row; a
 vulnerable cell flips when the intensity reaches its strength (see
-:class:`~repro.memory.dram.VulnerableCell`).  The model captures the two
+:class:`~repro.memory.dram.CellMap`).  The model captures the two
 facts the paper's methodology rests on:
 
 - **TRR (DDR4)**: double-sided hammering is fully mitigated (intensity 0);
@@ -89,7 +89,10 @@ class HammerEngine:
         victim (the placement machinery in :mod:`repro.memory.mmap` ensures
         this); the engine models the disturbance physics.
         """
-        if not 0 <= row < self.dram.geometry.rows_per_bank:
+        geometry = self.dram.geometry
+        if not 0 <= bank < geometry.num_banks:
+            raise RowhammerError(f"victim bank {bank} out of range")
+        if not 0 <= row < geometry.rows_per_bank:
             raise RowhammerError(f"victim row {row} out of range")
         flips = self.dram.hammer_row(bank, row, self.intensity(n_sides))
         seconds = self.seconds_per_row(n_sides)

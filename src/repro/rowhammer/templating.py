@@ -53,8 +53,13 @@ class PageTemplater:
     def __init__(self, profile: FlipProfile) -> None:
         self.profile = profile
         self._frame_flips: Dict[int, Set[Tuple[int, int, int]]] = {}
-        for record in profile.records:
-            self._frame_flips.setdefault(record.frame, set()).add(record.key)
+        for frame, offset, bit, direction in zip(
+            profile.frame.tolist(),
+            profile.byte_offset.tolist(),
+            profile.bit.tolist(),
+            profile.direction.tolist(),
+        ):
+            self._frame_flips.setdefault(frame, set()).add((offset, bit, direction))
 
     @property
     def flippy_frames(self) -> List[int]:

@@ -19,6 +19,12 @@ class TestGeometry:
         with pytest.raises(MemoryModelError):
             DRAMGeometry(row_size_bytes=5000)
 
+    def test_row_size_must_be_power_of_two(self):
+        # A multiple of the page size, but the fault-map draw needs 2**k.
+        with pytest.raises(MemoryModelError, match="power of two"):
+            DRAMGeometry(row_size_bytes=12288)
+        assert DRAMGeometry(row_size_bytes=16384).pages_per_row == 4
+
     def test_non_positive_fields_raise(self):
         with pytest.raises(MemoryModelError):
             DRAMGeometry(num_banks=0)

@@ -227,7 +227,7 @@ def test_property_templating_assignments_always_cover_requirements(requirements)
     records.append(
         FlipRecord(frame=101, byte_offset=first[0], bit=first[1], direction=first[2], n_sides=7)
     )
-    profile = FlipProfile(records=records, profiled_frames=[100, 101], n_sides=7)
+    profile = FlipProfile.from_records(records, [100, 101], n_sides=7)
     templater = PageTemplater(profile)
     targets = {
         0: [BitLocation(page=0, byte_offset=o, bit_index=b, direction=d) for o, b, d in requirements]

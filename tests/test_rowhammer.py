@@ -87,6 +87,13 @@ class TestHammerEngine:
         with pytest.raises(RowhammerError):
             ddr4.hammer_victim(0, 10_000, 7)
 
+    @pytest.mark.parametrize("bank", [-1, 10_000])
+    def test_out_of_range_bank_raises(self, engines, bank):
+        ddr4, _ = engines
+        with pytest.raises(RowhammerError, match="bank"):
+            ddr4.hammer_victim(bank, 1, 7)
+        assert (bank, 1) not in ddr4.dram._rows  # no phantom row materialized
+
 
 class TestProfiler:
     @pytest.fixture
@@ -155,9 +162,39 @@ class TestProfiler:
             profile.merge(profile)
 
 
+class TestFlipProfileColumns:
+    def _record(self, frame, offset, bit, direction):
+        return FlipRecord(frame=frame, byte_offset=offset, bit=bit, direction=direction, n_sides=7)
+
+    def test_per_page_counts_and_record_round_trip(self):
+        records = [
+            self._record(12, 5, 0, -1),
+            self._record(10, 7, 3, 1),
+            self._record(99, 1, 1, 1),  # outside the profiled frames
+            self._record(10, 9, 6, -1),
+        ]
+        profile = FlipProfile.from_records(records, [12, 11, 10], n_sides=7)
+        assert profile.flips_per_page().tolist() == [1, 0, 2]
+        assert profile.direction_counts() == (2, 2)
+        assert profile.records == records
+
+    def test_merge_concatenates_columns(self):
+        first = FlipProfile.from_records([self._record(1, 2, 3, 1)], [1], n_sides=15)
+        second = FlipProfile.from_records([self._record(4, 5, 6, -1)], [4, 5], n_sides=7)
+        merged = first.merge(second)
+        assert merged.profiled_frames == [1, 4, 5] and merged.n_sides == 7
+        assert [r.key for r in merged.records] == [(2, 3, 1), (5, 6, -1)]
+        assert merged.flips_per_page().tolist() == [1, 1, 0]
+
+    def test_empty_profile(self):
+        profile = FlipProfile.from_records([], [3, 4], n_sides=7)
+        assert profile.num_flips == 0 and profile.records == []
+        assert profile.flips_per_page().tolist() == [0, 0]
+
+
 class TestTemplating:
     def _profile(self, records, frames):
-        return FlipProfile(records=records, profiled_frames=frames, n_sides=7)
+        return FlipProfile.from_records(records, frames, n_sides=7)
 
     def _record(self, frame, offset, bit, direction):
         return FlipRecord(frame=frame, byte_offset=offset, bit=bit, direction=direction, n_sides=7)
