@@ -278,8 +278,11 @@ class CFTAttack:
             nonlocal stamped_eval
             for _ in range(steps):
                 images, labels = batch()
+                # A trigger step reads only the loss and dF/dx: no weight
+                # gradient is computed.
                 grads = attack_loss_and_grads(
-                    model, images, labels, trigger, config.target_class, config.alpha
+                    model, images, labels, trigger, config.target_class, config.alpha,
+                    param_names=(),
                 )
                 loss_history.append(grads.loss)
                 if config.trigger_update and grads.trigger_grad is not None:

@@ -62,6 +62,7 @@ class LastLayerFTAttack:
                 config.target_class,
                 config.alpha,
                 need_trigger_grad=False,
+                param_names=tuned,
             )
             loss_history.append(grads.loss)
             for name in tuned:

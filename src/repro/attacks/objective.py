@@ -6,18 +6,26 @@ balances clean-data fidelity against trigger effectiveness.  One evaluation
 returns the loss, per-parameter gradients (for weight selection and the
 masked fine-tuning step) and the input gradient on the trigger region (for
 the FGSM trigger step, Eq. 4).
+
+Callers name the parameters whose gradients they read (``param_names``);
+every other parameter is frozen for the call, so the tape never computes
+its gradient.  A trigger step reads none (``param_names=()``): with every
+parameter frozen the clean term leaves nothing on the tape and only the
+stamped branch is differentiated.
+The loss and every returned gradient are byte-identical to a full call.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional
+from typing import Dict, Iterable, List, Optional
 
 import numpy as np
 
-from repro.autodiff import cross_entropy
+from repro.autodiff import cross_entropy, frozen
 from repro.autodiff.tensor import Tensor
 from repro.data.trigger import TriggerPattern
+from repro.errors import AttackError
 from repro.nn.module import Module
 
 
@@ -40,31 +48,51 @@ def attack_loss_and_grads(
     target_class: int,
     alpha: float,
     need_trigger_grad: bool = True,
+    param_names: Optional[Iterable[str]] = None,
 ) -> ObjectiveGrads:
     """Evaluate Eq. 3 on one batch and backpropagate both terms.
 
     The model must be in the mode the caller wants (attacks run it in eval
     mode so batch-norm uses deployed running statistics -- the attacker
     cannot retrain normalization on the victim's data).
+
+    ``param_names`` selects the parameters whose gradients are computed and
+    returned (``None``: all of them).  The others have ``requires_grad``
+    off for the call and come back absent from ``param_grads``.
     """
     model.zero_grad()
+    named = dict(model.named_parameters())
+    if param_names is None:
+        wanted = list(named)
+    else:
+        requested = set(param_names)
+        unknown = sorted(requested - named.keys())
+        if unknown:
+            raise AttackError(f"unknown parameter names {unknown}")
+        wanted = [name for name in named if name in requested]
     target_labels = np.full(len(images), target_class, dtype=np.int64)
 
-    # Clean term: keep behaving correctly on unmodified inputs.
-    clean_loss_t = cross_entropy(model(Tensor(images)), labels)
+    with frozen(param for name, param in named.items() if name not in wanted):
+        # Clean term: keep behaving correctly on unmodified inputs.  With no
+        # parameter gradient wanted every parameter is frozen, so this
+        # forward records no tape node.
+        clean_loss_t = cross_entropy(model(Tensor(images)), labels)
 
-    # Trigger term: stamped inputs must map to the target class.  The input
-    # is a differentiable leaf so dF/d(input) yields the FGSM direction.
-    stamped = trigger.apply(images)
-    stamped_t = Tensor(stamped, requires_grad=need_trigger_grad)
-    trigger_loss_t = cross_entropy(model(stamped_t), target_labels)
+        # Trigger term: stamped inputs must map to the target class.  The
+        # input is a differentiable leaf so dF/d(input) yields the FGSM
+        # direction.
+        stamped = trigger.apply(images)
+        stamped_t = Tensor(stamped, requires_grad=need_trigger_grad)
+        trigger_loss_t = cross_entropy(model(stamped_t), target_labels)
 
-    total = clean_loss_t * (1.0 - alpha) + trigger_loss_t * alpha
-    total.backward()
+        total = clean_loss_t * (1.0 - alpha) + trigger_loss_t * alpha
+        if total.requires_grad:
+            total.backward()
 
     param_grads = {
-        name: (param.grad.copy() if param.grad is not None else np.zeros_like(param.data))
-        for name, param in model.named_parameters()
+        name: (named[name].grad.copy() if named[name].grad is not None
+               else np.zeros_like(named[name].data))
+        for name in wanted
     }
     trigger_grad = None
     if need_trigger_grad and stamped_t.grad is not None:

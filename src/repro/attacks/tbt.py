@@ -22,7 +22,7 @@ import numpy as np
 
 from repro.attacks.base import AttackConfig, OfflineAttackResult
 from repro.attacks.objective import attack_loss_and_grads
-from repro.autodiff.tensor import Tensor
+from repro.autodiff.tensor import Tensor, frozen
 from repro.data.dataset import ArrayDataset
 from repro.data.trigger import TriggerPattern
 from repro.errors import AttackError
@@ -56,20 +56,22 @@ class TBTAttack:
         """Gradient-ascend the trigger to fire the selected neurons."""
         image_shape = attacker_data.images.shape[1:]
         trigger = TriggerPattern.square(image_shape, self.config.trigger_size)
-        for _ in range(self.trigger_steps):
-            batch_idx = rng.choice(
-                len(attacker_data),
-                size=min(32, len(attacker_data)),
-                replace=False,
-            )
-            stamped = trigger.apply(attacker_data.images[batch_idx])
-            x = Tensor(stamped, requires_grad=True)
-            features = model.forward_penultimate(x)
-            # Maximize the selected neurons' mean activation.
-            objective = features[:, neurons].mean()
-            objective.backward()
-            # Ascent: epsilon-sign step inside the mask, like Eq. 4.
-            trigger.fgsm_update(x.grad.sum(axis=0), self.config.epsilon * 10)
+        # The weights stay fixed here: only dF/dx is computed.
+        with frozen(model.parameters()):
+            for _ in range(self.trigger_steps):
+                batch_idx = rng.choice(
+                    len(attacker_data),
+                    size=min(32, len(attacker_data)),
+                    replace=False,
+                )
+                stamped = trigger.apply(attacker_data.images[batch_idx])
+                x = Tensor(stamped, requires_grad=True)
+                features = model.forward_penultimate(x)
+                # Maximize the selected neurons' mean activation.
+                objective = features[:, neurons].mean()
+                objective.backward()
+                # Ascent: epsilon-sign step inside the mask, like Eq. 4.
+                trigger.fgsm_update(x.grad.sum(axis=0), self.config.epsilon * 10)
         return trigger
 
     # ------------------------------------------------------------------
@@ -92,7 +94,7 @@ class TBTAttack:
 
         # Only the (target row, selected neuron) weights may change.
         fc_weight = model.fc.weight
-        frozen = fc_weight.data.copy()
+        original_fc = fc_weight.data.copy()
         loss_history: List[float] = []
         for _ in range(config.iterations):
             batch_idx = rng.choice(
@@ -108,6 +110,7 @@ class TBTAttack:
                 config.target_class,
                 config.alpha,
                 need_trigger_grad=False,
+                param_names={"fc.weight"},
             )
             loss_history.append(grads.loss)
             update = np.zeros_like(fc_weight.data)
@@ -117,9 +120,9 @@ class TBTAttack:
             fc_weight.data = fc_weight.data - config.learning_rate * update
 
         # Everything except the selected entries stays bit-identical.
-        mask = np.zeros_like(frozen, dtype=bool)
+        mask = np.zeros_like(original_fc, dtype=bool)
         mask[config.target_class, neurons] = True
-        fc_weight.data = np.where(mask, fc_weight.data, frozen)
+        fc_weight.data = np.where(mask, fc_weight.data, original_fc)
 
         qmodel.requantize_from_module(names=["fc.weight"])
         qmodel.sync_to_module()

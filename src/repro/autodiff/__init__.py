@@ -6,7 +6,7 @@ tape, a library of differentiable operations (including 2-D convolution,
 batch normalization and pooling) and numerically stable loss functions.
 """
 
-from repro.autodiff.tensor import Tensor, Function, no_grad, is_grad_enabled
+from repro.autodiff.tensor import Tensor, Function, frozen, no_grad, is_grad_enabled
 from repro.autodiff.conv import conv2d, max_pool2d, avg_pool2d, global_avg_pool2d, pad2d
 from repro.autodiff.losses import cross_entropy, mse_loss, nll_loss, log_softmax, softmax
 
@@ -14,6 +14,7 @@ __all__ = [
     "Tensor",
     "Function",
     "no_grad",
+    "frozen",
     "is_grad_enabled",
     "conv2d",
     "max_pool2d",

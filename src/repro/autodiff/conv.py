@@ -1,10 +1,18 @@
 """Differentiable 2-D convolution and pooling via im2col.
 
 All operators use NCHW layout, matching the paper's PyTorch models.
+
+:func:`_im2col` builds the patch matrix with one gather through a cached
+flat index per input geometry; convolution and both poolings share it.
+:class:`Conv2dFunction` computes only the gradients its inputs need
+(:attr:`~repro.autodiff.tensor.Function.needs_input_grad`): the
+``grad_cols`` GEMM and col2im scatter only when ``x`` needs one, the weight
+GEMM only when ``weight`` does, the bias sum only when ``bias`` does.
 """
 
 from __future__ import annotations
 
+import functools
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -17,10 +25,45 @@ def _out_size(size: int, kernel: int, stride: int, padding: int) -> int:
     return (size + 2 * padding - kernel) // stride + 1
 
 
+@functools.lru_cache(maxsize=128)
+def _im2col_index(
+    c: int,
+    h_pad: int,
+    w_pad: int,
+    kh: int,
+    kw: int,
+    stride: int,
+    out_h: int,
+    out_w: int,
+) -> np.ndarray:
+    """Flat gather index ``(out_h*out_w, C*kh*kw)`` into one padded sample.
+
+    Row ``oh*out_w + ow`` lists the patch under output pixel ``(oh, ow)`` in
+    ``(C, kh, kw)`` column order.  It does not depend on the batch size, so
+    one cached array serves every batch of a layer.
+    """
+    # Broadcast to (out_h, out_w, C, kh, kw), then flatten to rows x columns.
+    oh = np.arange(out_h, dtype=np.intp)[:, None, None, None, None]
+    ow = np.arange(out_w, dtype=np.intp)[:, None, None, None]
+    ch = np.arange(c, dtype=np.intp)[:, None, None]
+    i = np.arange(kh, dtype=np.intp)[:, None]
+    j = np.arange(kw, dtype=np.intp)
+    index = ch * (h_pad * w_pad) + (oh * stride + i) * w_pad + (ow * stride + j)
+    index = index.reshape(out_h * out_w, c * kh * kw)
+    index.setflags(write=False)
+    return index
+
+
 def _im2col(
     x: np.ndarray, kh: int, kw: int, stride: int, padding: int
 ) -> Tuple[np.ndarray, int, int]:
-    """Extract sliding patches: (N, C, H, W) -> (N, out_h*out_w, C*kh*kw)."""
+    """Extract sliding patches: (N, C, H, W) -> (N, out_h*out_w, C*kh*kw).
+
+    One ``np.take`` through :func:`_im2col_index` writes the C-contiguous
+    patch matrix directly; the values are the input's, in the historical
+    ``(C, kh, kw)`` column order, so every GEMM downstream sees the same
+    operands.
+    """
     n, c, h, w = x.shape
     out_h = _out_size(h, kh, stride, padding)
     out_w = _out_size(w, kw, stride, padding)
@@ -31,16 +74,9 @@ def _im2col(
         )
     if padding:
         x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    strides = x.strides
-    windows = np.lib.stride_tricks.as_strided(
-        x,
-        shape=(n, c, out_h, out_w, kh, kw),
-        strides=(strides[0], strides[1], strides[2] * stride, strides[3] * stride, strides[2], strides[3]),
-        writeable=False,
-    )
-    # -> (N, out_h*out_w, C*kh*kw).  The reshape of the transposed strided
-    # view cannot be a view, so it already materialises a contiguous copy.
-    cols = windows.transpose(0, 2, 3, 1, 4, 5).reshape(n, out_h * out_w, c * kh * kw)
+    h_pad, w_pad = x.shape[2], x.shape[3]
+    index = _im2col_index(c, h_pad, w_pad, kh, kw, stride, out_h, out_w)
+    cols = np.take(x.reshape(n, c * h_pad * w_pad), index, axis=1)
     return cols, out_h, out_w
 
 
@@ -97,17 +133,21 @@ class Conv2dFunction(Function):
         from repro.backend import current_backend
 
         cols, x_shape, weight, has_bias, stride, padding, out_h, out_w = self.saved
+        need_x, need_w = self.needs_input_grad[:2]
         n = x_shape[0]
         out_c, in_c, kh, kw = weight.shape
         grad_mat = grad.reshape(n, out_c, out_h * out_w).transpose(0, 2, 1)  # (N, L, out_c)
         w_mat = weight.reshape(out_c, -1)
 
         grad_cols, grad_w = current_backend().conv_grads(
-            grad_mat, cols, w_mat, weight.shape
+            grad_mat, cols, w_mat, weight.shape, need_input=need_x, need_weight=need_w
         )
-        grad_x = _col2im(grad_cols, x_shape, kh, kw, stride, padding, out_h, out_w)
+        grad_x = None
+        if need_x:
+            grad_x = _col2im(grad_cols, x_shape, kh, kw, stride, padding, out_h, out_w)
         if has_bias:
-            return grad_x, grad_w, grad_mat.sum(axis=(0, 1))
+            grad_b = grad_mat.sum(axis=(0, 1)) if self.needs_input_grad[2] else None
+            return grad_x, grad_w, grad_b
         return grad_x, grad_w
 
 

@@ -15,6 +15,8 @@ class BatchNorm2dFunction(Function):
 
     In training mode, normalizes with batch statistics and differentiates
     through them; in inference mode, uses the provided running statistics.
+    The backward skips the ``grad_gamma``/``grad_beta`` reductions (and the
+    input gradient) for inputs that need no gradient.
     """
 
     def forward(
@@ -45,9 +47,12 @@ class BatchNorm2dFunction(Function):
 
     def backward(self, grad: np.ndarray) -> Sequence[Optional[np.ndarray]]:
         x_hat, inv_std, gamma, training = self.saved
+        need_x, need_gamma, need_beta = self.needs_input_grad
         axes = (0, 2, 3)
-        grad_beta = grad.sum(axis=axes)
-        grad_gamma = (grad * x_hat).sum(axis=axes)
+        grad_beta = grad.sum(axis=axes) if need_beta else None
+        grad_gamma = (grad * x_hat).sum(axis=axes) if need_gamma else None
+        if not need_x:
+            return None, grad_gamma, grad_beta
         grad_xhat = grad * gamma[None, :, None, None]
         if training:
             mean_gxh = grad_xhat.mean(axis=axes)

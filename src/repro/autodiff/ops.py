@@ -171,6 +171,9 @@ class LinearFunction(Function):
     ``w_t`` arrives as a keyword (non-differentiable) argument: the layer
     passes its cached transposed *view* so repeated calls do not re-derive
     it, and backends see the same operand layout as ``x @ w.transpose()``.
+
+    The backward asks the backend only for the gradients the inputs need
+    (:attr:`~repro.autodiff.tensor.Function.needs_input_grad`).
     """
 
     def forward(
@@ -191,8 +194,13 @@ class LinearFunction(Function):
         from repro.backend import current_backend
 
         x, w_t, bias_shape = self.saved
+        need_x, need_w = self.needs_input_grad[:2]
+        # A bias that needs no gradient goes in as bias_shape=None, which
+        # skips its reduction.
+        need_b = bias_shape is not None and self.needs_input_grad[2]
         grad_x, grad_w, grad_b = current_backend().linear_grads(
-            grad, x, w_t, bias_shape
+            grad, x, w_t, bias_shape if need_b else None,
+            need_input=need_x, need_weight=need_w,
         )
         if bias_shape is None:
             return grad_x, grad_w

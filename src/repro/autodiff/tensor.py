@@ -37,6 +37,25 @@ def no_grad():
         _grad_state.enabled = previous
 
 
+@contextlib.contextmanager
+def frozen(tensors: Iterable["Tensor"]):
+    """Turn ``requires_grad`` off on ``tensors`` for the duration of the block.
+
+    Frozen leaves drop out of the tape, so every backward that only feeds
+    them is skipped (see :attr:`Function.needs_input_grad`).  The previous
+    flags are restored on exit, also when the block raises.
+    """
+    tensors = list(tensors)
+    previous = [t.requires_grad for t in tensors]
+    for t in tensors:
+        t.requires_grad = False
+    try:
+        yield
+    finally:
+        for t, flag in zip(tensors, previous):
+            t.requires_grad = flag
+
+
 def _unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
     """Sum ``grad`` down to ``shape``, inverting NumPy broadcasting."""
     if grad.shape == shape:
@@ -59,11 +78,17 @@ class Function:
     :meth:`backward` (mapping the output gradient to input gradients, in
     the same order as the forward inputs; ``None`` marks non-differentiable
     inputs).
+
+    :attr:`needs_input_grad` holds one bool per tensor input, set when the
+    node joins the tape: whether that input requires a gradient.  Backwards
+    may return ``None`` for an input that needs none and skip its kernels;
+    the tape discards such gradients anyway.
     """
 
     def __init__(self) -> None:
         self.inputs: Tuple["Tensor", ...] = ()
         self.saved: Tuple[Any, ...] = ()
+        self.needs_input_grad: Tuple[bool, ...] = ()
 
     def save_for_backward(self, *items: Any) -> None:
         self.saved = items
@@ -84,6 +109,7 @@ class Function:
         out = Tensor(out_data, requires_grad=requires)
         if requires:
             ctx.inputs = tensor_inputs
+            ctx.needs_input_grad = tuple(t.requires_grad for t in tensor_inputs)
             out._creator = ctx
         return out
 

@@ -84,12 +84,18 @@ class Backend:
         cols: np.ndarray,
         w_mat: np.ndarray,
         weight_shape: Tuple[int, ...],
-    ) -> Tuple[np.ndarray, np.ndarray]:
+        *,
+        need_input: bool = True,
+        need_weight: bool = True,
+    ) -> Tuple[Optional[np.ndarray], Optional[np.ndarray]]:
         """The two backward GEMMs of a convolution.
 
         ``grad_mat`` is ``(N, L, out_c)``; returns ``(grad_cols, grad_w)``
         where ``grad_cols`` is ``(N, L, C*kh*kw)`` (fed to
         :meth:`im2col_backward`) and ``grad_w`` has ``weight_shape``.
+        ``need_input=False`` skips the ``grad_cols`` GEMM and
+        ``need_weight=False`` the weight GEMM; a skipped part comes back as
+        ``None``, and a computed one is unchanged by the other flag.
         """
         raise NotImplementedError
 
@@ -129,11 +135,17 @@ class Backend:
         x: np.ndarray,
         w_t: np.ndarray,
         bias_shape: Optional[Tuple[int, ...]],
-    ) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
+        *,
+        need_input: bool = True,
+        need_weight: bool = True,
+    ) -> Tuple[Optional[np.ndarray], Optional[np.ndarray], Optional[np.ndarray]]:
         """Dense backward: ``(grad_x, grad_w, grad_b)``.
 
         ``grad_w`` must come back in the layer's ``(out, in)`` weight shape;
-        ``grad_b`` is ``None`` when ``bias_shape`` is ``None``.
+        ``grad_b`` is ``None`` when ``bias_shape`` is ``None`` (callers pass
+        ``None`` to skip the bias reduction).  ``need_input=False`` /
+        ``need_weight=False`` skip ``grad_x`` / ``grad_w`` the same way,
+        returning ``None`` in their place.
         """
         raise NotImplementedError
 

@@ -54,13 +54,19 @@ class FastBackend(NumpyBackend):
         cols: np.ndarray,
         w_mat: np.ndarray,
         weight_shape: Tuple[int, ...],
-    ) -> Tuple[np.ndarray, np.ndarray]:
+        *,
+        need_input: bool = True,
+        need_weight: bool = True,
+    ) -> Tuple[Optional[np.ndarray], Optional[np.ndarray]]:
         n, length, out_c = grad_mat.shape
         flat_grad = _flat32(grad_mat)  # (N*L, out_c)
-        kernel = np.ascontiguousarray(w_mat, dtype=np.float32)
-        grad_cols = (flat_grad @ kernel).reshape(n, length, w_mat.shape[1])
-        # einsum("nlo,nlk->ok") fused into one transposed GEMM.
-        grad_w = (flat_grad.T @ _flat32(cols)).reshape(weight_shape)
+        grad_cols = grad_w = None
+        if need_input:
+            kernel = np.ascontiguousarray(w_mat, dtype=np.float32)
+            grad_cols = (flat_grad @ kernel).reshape(n, length, w_mat.shape[1])
+        if need_weight:
+            # einsum("nlo,nlk->ok") fused into one transposed GEMM.
+            grad_w = (flat_grad.T @ _flat32(cols)).reshape(weight_shape)
         return grad_cols, grad_w
 
     def linear(
@@ -78,12 +84,17 @@ class FastBackend(NumpyBackend):
         x: np.ndarray,
         w_t: np.ndarray,
         bias_shape: Optional[Tuple[int, ...]],
-    ) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
+        *,
+        need_input: bool = True,
+        need_weight: bool = True,
+    ) -> Tuple[Optional[np.ndarray], Optional[np.ndarray], Optional[np.ndarray]]:
         flat_grad = _flat32(grad)  # (M, out)
-        flat_x = _flat32(x)  # (M, in)
-        w = np.ascontiguousarray(np.swapaxes(w_t, -1, -2), dtype=np.float32)
-        grad_x = (flat_grad @ w).reshape(x.shape)
-        grad_w = flat_grad.T @ flat_x  # (out, in): the layer's weight shape
+        grad_x = grad_w = None
+        if need_input:
+            w = np.ascontiguousarray(np.swapaxes(w_t, -1, -2), dtype=np.float32)
+            grad_x = (flat_grad @ w).reshape(x.shape)
+        if need_weight:
+            grad_w = flat_grad.T @ _flat32(x)  # (out, in): the layer's weight shape
         grad_b = (
             None if bias_shape is None else flat_grad.sum(axis=0).reshape(bias_shape)
         )

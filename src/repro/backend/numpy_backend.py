@@ -11,6 +11,9 @@ golden snapshots, sweep rows and engine digests were recorded against:
   lifted out of ``BatchNorm2dFunction.forward``;
 - :meth:`im2col_backward` is the historical ``_col2im`` scatter-add loop;
 - :meth:`conv_grads` is ``Conv2dFunction.backward``'s GEMM + einsum pair.
+
+The backward kernels take ``need_input`` / ``need_weight`` flags and skip
+the part nobody reads; a computed part is the same expression either way.
 """
 
 from __future__ import annotations
@@ -44,9 +47,14 @@ class NumpyBackend(Backend):
         cols: np.ndarray,
         w_mat: np.ndarray,
         weight_shape: Tuple[int, ...],
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        grad_cols = grad_mat @ w_mat  # (N, L, C*kh*kw)
-        grad_w = np.einsum("nlo,nlk->ok", grad_mat, cols).reshape(weight_shape)
+        *,
+        need_input: bool = True,
+        need_weight: bool = True,
+    ) -> Tuple[Optional[np.ndarray], Optional[np.ndarray]]:
+        grad_cols = grad_mat @ w_mat if need_input else None  # (N, L, C*kh*kw)
+        grad_w = None
+        if need_weight:
+            grad_w = np.einsum("nlo,nlk->ok", grad_mat, cols).reshape(weight_shape)
         return grad_cols, grad_w
 
     def im2col_backward(
@@ -92,12 +100,18 @@ class NumpyBackend(Backend):
         x: np.ndarray,
         w_t: np.ndarray,
         bias_shape: Optional[Tuple[int, ...]],
-    ) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
+        *,
+        need_input: bool = True,
+        need_weight: bool = True,
+    ) -> Tuple[Optional[np.ndarray], Optional[np.ndarray], Optional[np.ndarray]]:
         # MatMul.backward on (x, w_t), then Transpose.backward on the weight
         # gradient -- the exact historical sequence, including _unbroadcast's
         # leading-axis sums for the engine's stacked 3-D activations.
-        grad_x = _unbroadcast(grad @ np.swapaxes(w_t, -1, -2), x.shape)
-        grad_w = np.transpose(_unbroadcast(np.swapaxes(x, -1, -2) @ grad, w_t.shape))
+        grad_x = grad_w = None
+        if need_input:
+            grad_x = _unbroadcast(grad @ np.swapaxes(w_t, -1, -2), x.shape)
+        if need_weight:
+            grad_w = np.transpose(_unbroadcast(np.swapaxes(x, -1, -2) @ grad, w_t.shape))
         grad_b = None if bias_shape is None else _unbroadcast(grad, bias_shape)
         return grad_x, grad_w, grad_b
 

@@ -43,7 +43,6 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 
 from repro import telemetry
-from repro.autodiff.tensor import _unbroadcast
 from repro.backend.numpy_backend import NumpyBackend
 from repro.errors import BackendError
 
@@ -170,11 +169,17 @@ class ThreadsBackend(NumpyBackend):
         cols: np.ndarray,
         w_mat: np.ndarray,
         weight_shape: Tuple[int, ...],
-    ) -> Tuple[np.ndarray, np.ndarray]:
+        *,
+        need_input: bool = True,
+        need_weight: bool = True,
+    ) -> Tuple[Optional[np.ndarray], Optional[np.ndarray]]:
         n = grad_mat.shape[0]
         count = self._panel_count(n)
-        if count <= 1:
-            return super().conv_grads(grad_mat, cols, w_mat, weight_shape)
+        if count <= 1 or not need_input:
+            return super().conv_grads(
+                grad_mat, cols, w_mat, weight_shape,
+                need_input=need_input, need_weight=need_weight,
+            )
         grad_cols = np.empty(
             (n, grad_mat.shape[1], w_mat.shape[1]),
             dtype=np.result_type(grad_mat.dtype, w_mat.dtype),
@@ -187,7 +192,9 @@ class ThreadsBackend(NumpyBackend):
         self._run_panels(count, run)
         # The weight gradient reduces across samples; stay monolithic so the
         # einsum's accumulation order is the reference one.
-        grad_w = np.einsum("nlo,nlk->ok", grad_mat, cols).reshape(weight_shape)
+        _, grad_w = super().conv_grads(
+            grad_mat, cols, w_mat, weight_shape, need_input=False, need_weight=need_weight
+        )
         return grad_cols, grad_w
 
     def im2col_backward(
@@ -260,10 +267,15 @@ class ThreadsBackend(NumpyBackend):
         x: np.ndarray,
         w_t: np.ndarray,
         bias_shape: Optional[Tuple[int, ...]],
-    ) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
+        *,
+        need_input: bool = True,
+        need_weight: bool = True,
+    ) -> Tuple[Optional[np.ndarray], Optional[np.ndarray], Optional[np.ndarray]]:
         count = self._panel_count(grad.shape[0]) if grad.ndim >= 3 else 1
-        if count <= 1:
-            return super().linear_grads(grad, x, w_t, bias_shape)
+        if count <= 1 or not need_input:
+            return super().linear_grads(
+                grad, x, w_t, bias_shape, need_input=need_input, need_weight=need_weight
+            )
         n = grad.shape[0]
         w = np.swapaxes(w_t, -1, -2)
         grad_x = np.empty(x.shape, dtype=np.result_type(grad.dtype, w_t.dtype))
@@ -274,6 +286,7 @@ class ThreadsBackend(NumpyBackend):
 
         self._run_panels(count, run)
         # Weight/bias gradients reduce across the leading axis: monolithic.
-        grad_w = np.transpose(_unbroadcast(np.swapaxes(x, -1, -2) @ grad, w_t.shape))
-        grad_b = None if bias_shape is None else _unbroadcast(grad, bias_shape)
+        _, grad_w, grad_b = super().linear_grads(
+            grad, x, w_t, bias_shape, need_input=False, need_weight=need_weight
+        )
         return grad_x, grad_w, grad_b

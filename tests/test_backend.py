@@ -119,6 +119,96 @@ def test_conv_forward_unchanged_under_default_backend():
 
 
 # ---------------------------------------------------------------------------
+# Gradient-skipping flags: every profile, every (need_input, need_weight)
+
+GRAD_FLAGS = [(True, True), (True, False), (False, True)]
+FLAG_PROFILES = [
+    "threads:1",
+    "threads:2",
+    pytest.param("fast", marks=pytest.mark.fast_backend),
+]
+
+
+def _conv_grad_operands():
+    # 20 samples: three threads panels, so the parallel path runs.
+    rng = np.random.default_rng(11)
+    grad_mat = rng.standard_normal((20, 36, 8)).astype(np.float32)
+    cols = rng.standard_normal((20, 36, 27)).astype(np.float32)
+    w_mat = rng.standard_normal((8, 27)).astype(np.float32)
+    return grad_mat, cols, w_mat, (8, 3, 3, 3)
+
+
+def _linear_grad_operands(stacked):
+    # Stacked (K, N, in) activations take the threads panel path.
+    rng = np.random.default_rng(12)
+    lead = (20, 6) if stacked else (20,)
+    grad = rng.standard_normal(lead + (5,)).astype(np.float32)
+    x = rng.standard_normal(lead + (7,)).astype(np.float32)
+    w_t = np.transpose(rng.standard_normal((5, 7)).astype(np.float32))
+    return grad, x, w_t, (5,)
+
+
+def _assert_flag_parity(ref, got, flags, exact):
+    for part, needed in zip(ref[:2], flags):
+        assert (part is None) == (not needed)
+    for want, have in zip(ref, got):
+        if want is None:
+            assert have is None
+        elif exact:
+            assert have.tobytes() == want.tobytes()
+        else:
+            np.testing.assert_allclose(have, want, rtol=1e-4, atol=1e-4)
+
+
+@pytest.mark.parametrize("flags", GRAD_FLAGS)
+@pytest.mark.parametrize("spec", FLAG_PROFILES)
+def test_conv_grads_flags_match_numpy(spec, flags):
+    operands = _conv_grad_operands()
+    need_input, need_weight = flags
+    set_backend("numpy")
+    full = current_backend().conv_grads(*operands)
+    ref = current_backend().conv_grads(
+        *operands, need_input=need_input, need_weight=need_weight
+    )
+    # A computed part does not depend on whether the other one was skipped.
+    for part, whole in zip(ref, full):
+        assert part is None or part.tobytes() == whole.tobytes()
+    set_backend(spec)
+    got = current_backend().conv_grads(
+        *operands, need_input=need_input, need_weight=need_weight
+    )
+    _assert_flag_parity(ref, got, flags, exact=current_backend().byte_identical)
+
+
+@pytest.mark.parametrize("stacked", [False, True])
+@pytest.mark.parametrize("flags", GRAD_FLAGS)
+@pytest.mark.parametrize("spec", FLAG_PROFILES)
+def test_linear_grads_flags_match_numpy(spec, flags, stacked):
+    operands = _linear_grad_operands(stacked)
+    need_input, need_weight = flags
+    set_backend("numpy")
+    full = current_backend().linear_grads(*operands)
+    ref = current_backend().linear_grads(
+        *operands, need_input=need_input, need_weight=need_weight
+    )
+    for part, whole in zip(ref, full):
+        assert part is None or part.tobytes() == whole.tobytes()
+    assert ref[2] is not None
+    set_backend(spec)
+    got = current_backend().linear_grads(
+        *operands, need_input=need_input, need_weight=need_weight
+    )
+    _assert_flag_parity(ref, got, flags, exact=current_backend().byte_identical)
+
+
+@pytest.mark.parametrize("spec", ["numpy", "threads:2", "fast"])
+def test_linear_grads_skips_bias_without_bias_shape(spec):
+    grad, x, w_t, _ = _linear_grad_operands(stacked=True)
+    set_backend(spec)
+    assert current_backend().linear_grads(grad, x, w_t, None)[2] is None
+
+
+# ---------------------------------------------------------------------------
 # Fast backend: tolerance parity only (separately marked, never golden)
 
 
