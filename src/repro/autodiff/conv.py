@@ -92,8 +92,8 @@ def _col2im(
 ) -> np.ndarray:
     """Scatter-add patches back: inverse of :func:`_im2col` for gradients.
 
-    Delegates to the active backend (the pooling backwards route through
-    here too, so every col2im in the model picks up backend acceleration).
+    Delegates to the backend kernel (the pooling backwards route through
+    here too, so every col2im in the model runs the same kernel).
     """
     from repro.backend import current_backend
 

@@ -159,18 +159,18 @@ class MatMul(Function):
 
 
 class LinearFunction(Function):
-    """Fused dense layer ``x @ w.T (+ b)`` delegating to the active backend.
+    """Fused dense layer ``x @ w.T (+ b)`` delegating to the backend kernels.
 
     Replaces the ``Transpose`` + ``MatMul`` + ``Add`` tape triple that
-    ``nn.Linear`` historically built with a single node.  The reference
-    backend replays the exact numeric sequence of that triple (including
+    ``nn.Linear`` historically built with a single node.  The backend
+    kernels replay the exact numeric sequence of that triple (including
     the ``_unbroadcast`` reductions), so forward outputs and all three
     gradients are byte-identical to the unfused path; fusing only removes
-    tape bookkeeping and lets backends see the whole dense op at once.
+    tape bookkeeping and lets the kernels see the whole dense op at once.
 
     ``w_t`` arrives as a keyword (non-differentiable) argument: the layer
     passes its cached transposed *view* so repeated calls do not re-derive
-    it, and backends see the same operand layout as ``x @ w.transpose()``.
+    it, and the kernels see the same operand layout as ``x @ w.transpose()``.
 
     The backward asks the backend only for the gradients the inputs need
     (:attr:`~repro.autodiff.tensor.Function.needs_input_grad`).

@@ -1,106 +1,24 @@
-"""Pluggable compute backends for the autodiff/engine hot kernels.
+"""The compute kernels ``repro.autodiff`` delegates to.
 
-``repro.autodiff`` delegates its dense inner kernels -- the im2col
-contraction (and backward scatter + gradient GEMMs) behind every
-convolution, the ``Linear`` forward/backward matmuls, and batch-norm
-statistics/normalization -- to the process-wide active backend:
-
-- ``numpy`` (default): the exact op sequence the repo has always run --
-  byte-identical to every golden snapshot and engine digest;
-- ``threads`` / ``threads:N``: the reference kernels cut into disjoint
-  leading-axis panels executed on a thread pool -- byte-identical at any
-  thread count (it runs under the golden suite), faster wherever more
-  than one core is available;
-- ``fast``: fused contiguous float32 GEMMs across inference *and* the CFT
-  training path -- faster, but only tolerance-equal, so it is opt-in and
-  excluded from byte-identity tests.
-
-Selection: the ``REPRO_BACKEND`` environment variable at first use (sweep
-worker processes inherit it), or :func:`set_backend` programmatically.  The
-CLI's ``--backend`` flag exports the environment variable so child
-processes agree with the parent.  A ``:<param>`` suffix parameterizes the
-family (``threads:4``); the bare family name uses its default (``threads``
-sizes the pool to the CPU count).
+``repro.autodiff`` runs its dense inner kernels -- the im2col contraction
+(and backward scatter + gradient GEMMs) behind every convolution, the
+``Linear`` forward/backward matmuls, and batch-norm statistics and
+normalization -- through :func:`current_backend`, looked up at call time.
+There is one kernel set, :class:`NumpyBackend`: the exact NumPy op sequence
+every golden snapshot and engine digest was recorded against.  The lookup
+stays a call-time indirection because it is the hook point the per-kernel
+tracer (``perfbench/trace.py``) wraps.
 """
 
 from __future__ import annotations
 
-import os
-from typing import Dict, List, Optional, Type
-
-from repro.backend.base import Backend
-from repro.backend.fast import FastBackend
 from repro.backend.numpy_backend import NumpyBackend
-from repro.backend.threads import ThreadsBackend
-from repro.errors import BackendError
 
-__all__ = [
-    "Backend",
-    "BackendError",
-    "FastBackend",
-    "NumpyBackend",
-    "ThreadsBackend",
-    "available_backends",
-    "backend_name",
-    "current_backend",
-    "reset_backend",
-    "set_backend",
-]
+__all__ = ["NumpyBackend", "current_backend"]
 
-_REGISTRY: Dict[str, Type[Backend]] = {
-    NumpyBackend.name: NumpyBackend,
-    FastBackend.name: FastBackend,
-    ThreadsBackend.name: ThreadsBackend,
-}
-
-_active: Optional[Backend] = None
+_BACKEND = NumpyBackend()
 
 
-def available_backends() -> List[str]:
-    """Family names accepted by :func:`set_backend` and ``REPRO_BACKEND``.
-
-    Parameterized families additionally accept a ``:<param>`` suffix
-    (``threads:4``).
-    """
-    return sorted(_REGISTRY)
-
-
-def set_backend(name: str) -> Backend:
-    """Activate a backend by name (or ``family:param`` spec) process-wide."""
-    global _active
-    family, _, _ = name.partition(":")
-    backend_cls = _REGISTRY.get(family)
-    if backend_cls is None:
-        raise BackendError(
-            f"unknown backend {name!r}; available: {', '.join(available_backends())}"
-        )
-    backend = backend_cls.from_spec(name)
-    if _active is not None:
-        _active.close()
-    _active = backend
-    return _active
-
-
-def current_backend() -> Backend:
-    """The active backend, resolving ``REPRO_BACKEND`` on first use."""
-    global _active
-    if _active is None:
-        set_backend(os.environ.get("REPRO_BACKEND", NumpyBackend.name))
-    return _active
-
-
-def backend_name() -> str:
-    return current_backend().name
-
-
-def reset_backend() -> None:
-    """Drop the active backend so the next use re-reads ``REPRO_BACKEND``.
-
-    Also releases backend-owned resources (the ``threads`` pool); sweep
-    workers call this after fork, where inherited pool threads no longer
-    exist.
-    """
-    global _active
-    if _active is not None:
-        _active.close()
-    _active = None
+def current_backend() -> NumpyBackend:
+    """The process-wide kernel instance."""
+    return _BACKEND

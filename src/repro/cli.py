@@ -29,6 +29,7 @@ are byte-deterministic under a fixed seed.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from typing import List, Optional
 
@@ -141,7 +142,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         n_flip_budget=args.flips,
         include_sweep=not args.skip_sweep,
         include_engine=not args.skip_engine,
-        include_kernels=not args.skip_kernels,
         events=args.events,
         trace=args.trace,
         manifest=not args.no_manifest,
@@ -606,12 +606,6 @@ def build_parser() -> argparse.ArgumentParser:
              "batched stacked-suffix scorer (byte-identical either way; "
              "purely a performance switch)",
     )
-    parser.add_argument(
-        "--backend", default=None, metavar="NAME[:PARAM]",
-        help="compute backend (default: REPRO_BACKEND or numpy); 'threads' "
-             "or 'threads:N' runs panel-parallel byte-identical kernels, "
-             "'fast' trades byte-level determinism for fused float32 GEMMs",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     sub.add_parser("devices", help="list the Table I DRAM device profiles")
@@ -648,8 +642,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="skip the 1-vs-2-worker sweep timing section")
     bench.add_argument("--skip-engine", action="store_true",
                        help="skip the cached-vs-uncached engine timing section")
-    bench.add_argument("--skip-kernels", action="store_true",
-                       help="skip the per-kernel backend-profile timing section")
     bench.add_argument("--events", help="record the run's flight-recorder event "
                        "stream (JSONL) to this path")
     bench.add_argument("--trace", help="export spans + events as a Chrome-trace/"
@@ -831,6 +823,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     from repro.log import configure, verbosity_to_level
 
     configure(args.log_level or verbosity_to_level(args.verbose))
+    # Checked here rather than when the first engine builds its cache, where
+    # a sweep would only report it as a failed task.
+    mb = args.engine_cache_mb
+    if mb is not None and (not math.isfinite(mb) or int(mb * 2**20) <= 0):
+        print(f"--engine-cache-mb: must be a positive size, got {mb:g}", file=sys.stderr)
+        return 2
     # Engine toggles go through the environment so sweep worker processes
     # (fork or spawn) inherit the same configuration as the parent.
     import os
@@ -847,17 +845,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         from repro.engine import disable_batch
 
         disable_batch()
-    if args.backend is not None:
-        from repro.backend import BackendError, set_backend
-
-        try:
-            set_backend(args.backend)
-        except BackendError as exc:
-            print(f"--backend: {exc}", file=sys.stderr)
-            return 2
-        # Mirrored into the environment so spawn-mode sweep workers (which
-        # re-read REPRO_BACKEND) agree with the parent process.
-        os.environ["REPRO_BACKEND"] = args.backend
     handlers = {
         "devices": _cmd_devices,
         "probability": _cmd_probability,

@@ -249,108 +249,6 @@ def _bench_engine_section(seed: int, candidates: int = 24) -> Dict[str, float]:
     return section
 
 
-def _bench_kernel_sections(
-    seed: int,
-    profiles: Sequence[str] = ("numpy", "threads:4", "fast"),
-    reps: int = 30,
-) -> Dict[str, Dict[str, float]]:
-    """Per-kernel timings for every backend kernel across compute profiles.
-
-    Synthesizes the bench CNN's hot shapes at the ``micro`` preset -- the
-    conv2 im2col GEMM (and its backward pair + col2im scatter), the lifted
-    3-D dense forward/backward the engine's candidate scoring runs, and a
-    batch-norm stats+apply pass -- and times each kernel under each profile.
-    Byte-identical profiles (``threads:N``) are verified against the
-    reference output byte-for-byte and the bench fails hard on a mismatch;
-    ``fast`` is timed but never byte-compared.
-
-    Records spans ``bench_kernels.<kernel>.<profile>`` and gauges
-    ``kernel.<kernel>.<profile>_seconds`` (plus ``_speedup`` relative to the
-    reference profile; profile names are sanitized, ``threads:4`` ->
-    ``threads_4``).  After the threads profile runs, the instance-accumulated
-    GEMM wall-clock is exported as the ``backend.gemm.ns_per_call`` gauge --
-    bench is the only exporter of that wall-clock metric, keeping sweep-task
-    metrics deterministic.
-    """
-    from repro.backend import current_backend, set_backend
-
-    rng = np.random.default_rng(seed)
-    # BenchCNN conv2 at 16x16 input: 8->16 channels, 3x3, stride 2, pad 1.
-    cols = rng.standard_normal((64, 64, 72)).astype(np.float32)
-    w_mat = rng.standard_normal((16, 72)).astype(np.float32)
-    grad_mat = rng.standard_normal((64, 64, 16)).astype(np.float32)
-    conv_shape = (16, 8, 3, 3)
-    # The engine's lifted candidate scoring: (K, N, in) @ (in, out).
-    x3 = rng.standard_normal((16, 64, 24)).astype(np.float32)
-    w_t = rng.standard_normal((24, 256)).astype(np.float32)
-    bias = rng.standard_normal((256,)).astype(np.float32)
-    g3 = rng.standard_normal((16, 64, 256)).astype(np.float32)
-    # Batch-norm over conv2's output feature map.
-    xbn = rng.standard_normal((64, 16, 8, 8)).astype(np.float32)
-    gamma = rng.standard_normal((16,)).astype(np.float32)
-    beta = rng.standard_normal((16,)).astype(np.float32)
-
-    kernels = {
-        "conv_gemm": lambda be: be.conv_cols_matmul(cols, w_mat),
-        "conv_grads": lambda be: be.conv_grads(grad_mat, cols, w_mat, conv_shape),
-        "im2col_backward": lambda be: be.im2col_backward(
-            cols, (64, 8, 16, 16), 3, 3, 2, 1, 8, 8
-        ),
-        "linear": lambda be: be.linear(x3, w_t, bias),
-        "linear_grads": lambda be: be.linear_grads(g3, x3, w_t, bias.shape),
-        "batchnorm": lambda be: be.batchnorm_apply(
-            xbn, gamma, beta, *be.batchnorm_stats(xbn), 1e-5
-        ),
-    }
-
-    def result_bytes(result) -> bytes:
-        parts = result if isinstance(result, tuple) else (result,)
-        return b"".join(p.tobytes() for p in parts if p is not None)
-
-    previous_spec = current_backend().spec
-    sections: Dict[str, Dict[str, float]] = {name: {} for name in kernels}
-    reference_key = None
-    try:
-        with telemetry.span("bench_kernels"):
-            references: Dict[str, bytes] = {}
-            for profile in profiles:
-                backend = set_backend(profile)
-                key = profile.replace(":", "_")
-                if reference_key is None:
-                    reference_key = key
-                for name, kernel in kernels.items():
-                    kernel(backend)  # warm (pool spin-up, BLAS first-touch)
-                    with telemetry.span(f"bench_kernels.{name}.{key}"):
-                        start = time.perf_counter()
-                        for _ in range(reps):
-                            result = kernel(backend)
-                        seconds = (time.perf_counter() - start) / reps
-                    if profile == profiles[0]:
-                        references[name] = result_bytes(result)
-                    elif backend.byte_identical and (
-                        result_bytes(result) != references[name]
-                    ):
-                        raise RuntimeError(
-                            f"backend determinism contract broken: kernel "
-                            f"{name!r} under {profile!r} differs from the "
-                            "reference bytes"
-                        )
-                    sections[name][key] = seconds
-                    telemetry.gauge_set(f"kernel.{name}.{key}_seconds", seconds)
-                    if key != reference_key:
-                        speedup = sections[name][reference_key] / seconds
-                        sections[name][f"{key}_speedup"] = speedup
-                        telemetry.gauge_set(f"kernel.{name}.{key}_speedup", speedup)
-                gemm_calls = getattr(backend, "gemm_calls", 0)
-                if gemm_calls:
-                    telemetry.gauge_set(
-                        "backend.gemm.ns_per_call", backend.gemm_ns / gemm_calls
-                    )
-    finally:
-        set_backend(previous_spec)
-    return sections
-
-
 def run_bench(
     out: Optional[str] = "BENCH_pipeline.json",
     jsonl: Optional[str] = None,
@@ -361,7 +259,6 @@ def run_bench(
     target_class: int = 1,
     include_sweep: bool = True,
     include_engine: bool = True,
-    include_kernels: bool = True,
     events: Optional[str] = None,
     trace: Optional[str] = None,
     manifest: bool = True,
@@ -418,9 +315,6 @@ def run_bench(
     # distorted by the (parallelism-dependent) sweep comparison.
     sweep_durations = _bench_sweep_durations(seed) if include_sweep else {}
     engine_section = _bench_engine_section(seed) if include_engine else {}
-    kernel_sections = _bench_kernel_sections(seed) if include_kernels else {}
-
-    from repro.backend import current_backend
 
     meta = {
         "benchmark": "repro-bench",
@@ -432,10 +326,8 @@ def run_bench(
         "n_flip_budget": n_flip_budget,
         "method": result.method,
         "online_n_flip": result.online_n_flip,
-        "backend": current_backend().describe(),
         "sweep_workers_seconds": {str(k): v for k, v in sweep_durations.items()},
         "engine": engine_section,
-        "kernels": kernel_sections,
     }
     report = telemetry.dump(out, meta=meta)
     if jsonl is not None:
@@ -478,7 +370,6 @@ def run_bench(
                     "target_class": target_class,
                     "include_sweep": include_sweep,
                     "include_engine": include_engine,
-                    "include_kernels": include_kernels,
                 },
                 seeds=[seed],
                 device="K1",

@@ -18,7 +18,7 @@ instead of per-forward:
 
 **Determinism contract** (same as the engine itself): the returned logits
 are byte-identical to the sequential ``apply flip -> engine.forward ->
-revert`` loop under the default backend.  Convolution and pooling stages
+revert`` loop.  Convolution and pooling stages
 are per-sample computations (elementwise ops, per-sample im2col GEMMs),
 so candidates ride folded into the batch axis through them unchanged;
 dense stages multiply against a transposed weight *view*, for which BLAS

@@ -21,10 +21,6 @@ class QuantizationError(ReproError):
     """Quantization or bit-level manipulation failed."""
 
 
-class BackendError(ReproError):
-    """An unknown or misconfigured compute backend was requested."""
-
-
 class MemoryModelError(ReproError):
     """The DRAM/OS memory simulation was driven into an invalid state."""
 

@@ -28,12 +28,8 @@ cover, because ``fork`` workers inherit the parent's modules verbatim):
   with the parent.  Engine *instances* (and their activation caches) are
   created per evaluation loop, never at module level, so no cached
   activations can leak across tasks or processes.
-- :mod:`repro.backend`'s process-wide active backend -- reset here.  A
-  ``fork`` worker inherits the parent's backend object but not its
-  threads, so an inherited ``threads`` pool would deadlock on first use;
-  the reset drops it (``shutdown(wait=False)``) and the next kernel call
-  rebuilds the backend from ``REPRO_BACKEND``, which the CLI mirrors into
-  the environment -- fork and spawn workers agree with the parent.
+- :mod:`repro.backend`'s process-wide kernel instance is created at
+  import time and holds no state (no threads, no caches): safe under fork.
 """
 
 from __future__ import annotations
@@ -50,8 +46,6 @@ from repro.telemetry import live
 
 def reset_worker_state() -> None:
     """Reset every known piece of process-global mutable state."""
-    from repro.backend import reset_backend
-
     telemetry.disable()
     telemetry.disable_events()
     telemetry.get_tracer().reset(force=True)
@@ -59,7 +53,6 @@ def reset_worker_state() -> None:
     telemetry.get_recorder().reset()
     live.reset_live()
     device_profiles.reset_profiles()
-    reset_backend()
 
 
 def initialize_worker() -> None:

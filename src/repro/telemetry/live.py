@@ -53,7 +53,6 @@ DEFAULT_BEACON_INTERVAL = 2.0
 LIVE_COUNTER_PREFIXES = (
     "sched.",
     "engine.",
-    "backend.",
     "sweep.",
     "pipeline.",
     "train.",

@@ -50,18 +50,6 @@ def _profile_dict(device: Optional[str]) -> Optional[Dict[str, object]]:
     return dataclasses.asdict(get_profile(device))
 
 
-def _backend_dict() -> Dict[str, object]:
-    """The active compute backend's metadata (name, spec, thread count).
-
-    Deterministic for a given selection, so it keeps the manifest
-    byte-reproducible while recording whether the artifacts were produced
-    under a byte-identical profile.
-    """
-    from repro.backend import current_backend
-
-    return current_backend().describe()
-
-
 def build_manifest(
     run_kind: str,
     config: Optional[Dict[str, object]] = None,
@@ -107,7 +95,6 @@ def build_manifest(
         "platform": platform.platform(),
         "config": dict(config or {}),
         "seeds": [int(seed) for seed in seeds],
-        "backend": _backend_dict(),
         "device_profile": _profile_dict(device),
         "grid_sha": grid_sha,
         "artifacts": dict(artifacts or {}),

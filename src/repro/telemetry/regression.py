@@ -162,7 +162,7 @@ def cache_hit_rate_line(report: Dict[str, object]) -> str:
 
 # Top-level spans worth tracking across runs; sub-spans are too noisy for a
 # trend line and already covered by the regression gate.
-TREND_SPANS = ("bench", "bench_sweep", "bench_engine", "bench_kernels")
+TREND_SPANS = ("bench", "bench_sweep", "bench_engine")
 
 
 def _trend_metrics(report: Dict[str, object]) -> Dict[str, float]:

@@ -9,6 +9,7 @@ Every test here ultimately checks ``tobytes()`` equality, not ``allclose``.
 from __future__ import annotations
 
 import json
+import os
 
 import numpy as np
 import pytest
@@ -304,6 +305,16 @@ def test_default_byte_budget_reads_env(monkeypatch):
     assert default_byte_budget() == int(2.5 * 1024 * 1024)
     monkeypatch.delenv("REPRO_ENGINE_CACHE_MB")
     assert default_byte_budget() == 64 * 1024 * 1024
+
+
+@pytest.mark.parametrize("mb", ["-1", "0", "1e-7", "nan"])
+def test_cli_rejects_non_positive_engine_cache_budget(mb, monkeypatch, capsys):
+    from repro.cli import main
+
+    monkeypatch.delenv("REPRO_ENGINE_CACHE_MB", raising=False)
+    assert main(["--engine-cache-mb", mb, "devices"]) == 2
+    assert "--engine-cache-mb" in capsys.readouterr().err
+    assert "REPRO_ENGINE_CACHE_MB" not in os.environ
 
 
 def test_engine_exports_telemetry_counters(tiny_model):

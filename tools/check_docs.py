@@ -15,8 +15,6 @@ the README runbook and DESIGN chapter cannot silently rot:
 4. Every live-health cause (``repro.errors.HEALTH_CAUSES``, surfaced by
    ``repro watch`` / ``repro queue-status``) appears in both README.md and
    DESIGN.md.
-5. Every registered compute backend (``repro.backend.available_backends``)
-   appears backticked in README.md's backend table.
 
 Run from the repo root: ``PYTHONPATH=src python tools/check_docs.py``.
 Exit code 0 when the docs are fresh, 1 with a per-item report otherwise.
@@ -112,15 +110,6 @@ def main() -> int:
             f"health cause `{cause}` is registered but never emitted "
             "(stale registry entry?)"
         )
-
-    from repro.backend import available_backends
-
-    for backend in available_backends():
-        if f"`{backend}`" not in readme:
-            problems.append(
-                f"compute backend `{backend}` is registered but missing from "
-                "the README.md backend table"
-            )
 
     if problems:
         print("docs freshness check FAILED:", file=sys.stderr)
