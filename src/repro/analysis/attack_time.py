@@ -32,10 +32,6 @@ class AttackTimeEstimate:
         """Total online hammering time: rows hammered x per-row cost."""
         return self.n_flip * self.seconds_per_row
 
-    @property
-    def total_minutes(self) -> float:
-        return self.profiling_minutes + self.online_seconds / 60.0
-
 
 def estimate_attack_time(
     n_flip: int,

@@ -26,9 +26,13 @@ import numpy as np
 from repro import telemetry
 from repro.attacks.base import AttackConfig, OfflineAttackResult
 from repro.attacks.objective import attack_loss_and_grads, flatten_grads
+from repro.autodiff import cross_entropy, no_grad
+from repro.autodiff.tensor import Tensor
 from repro.data.dataset import ArrayDataset
 from repro.data.trigger import TriggerPattern
+from repro.engine.plan import LayerPlan, Stage, compile_plan
 from repro.errors import AttackError
+from repro.nn.layers import Linear
 from repro.quant.bits import bit_reduce
 from repro.quant.qmodel import QuantizedModel
 from repro.quant.weightfile import PAGE_SIZE_BYTES
@@ -91,6 +95,57 @@ def group_sort_select(
             continue
         selected.append(int(members[np.argmax(grad_magnitudes[members])]))
     return np.asarray(selected, dtype=np.int64)
+
+
+def _reads_linear(stage: Stage) -> bool:
+    return any(isinstance(sub, Linear)
+               for module in stage.modules for _, sub in module.named_modules())
+
+
+class _CleanLogits:
+    """Clean-term logits of attacker batches, reusing each image's features.
+
+    CFT's trigger steps (Eq. 4) read only the clean term's loss value, and
+    the weights do not change between them.  In eval mode the model's
+    trunk -- every stage before the first ``Linear`` -- treats each row on
+    its own, so an image's trunk features depend only on the image and the
+    trunk's weights: they are kept per image and forwarded only for the
+    rows a batch is missing at the trunk's current version signature (any
+    weight or buffer rebind starts a new version).  A GEMM over a different
+    row count may pick a different BLAS kernel, so the ``Linear`` head runs
+    on the gathered batch, in batch order, exactly as the clean forward
+    would: the logits are byte-identical to ``model(images[idx])``.
+    """
+
+    def __init__(self, plan: LayerPlan, images: np.ndarray) -> None:
+        stages = plan.stages
+        cut = next((i for i, stage in enumerate(stages) if _reads_linear(stage)), len(stages))
+        self.trunk, self.head = stages[:cut], stages[cut:]
+        self.images = images
+        self._version: Optional[tuple] = None
+        self._features: Optional[np.ndarray] = None
+        self._have = np.zeros(len(images), dtype=bool)
+
+    def __call__(self, idx: np.ndarray) -> np.ndarray:
+        """Clean logits of ``images[idx]``, in ``idx`` order."""
+        version = tuple(stage.version_signature() for stage in self.trunk)
+        if version != self._version:
+            self._version = version
+            self._have[:] = False
+        missing = np.unique(idx[~self._have[idx]])
+        with no_grad():
+            if missing.size:
+                x = Tensor(self.images[missing])
+                for stage in self.trunk:
+                    x = stage.fn(x)
+                if self._features is None:
+                    self._features = np.empty((len(self.images),) + x.shape[1:], x.data.dtype)
+                self._features[missing] = x.data
+                self._have[missing] = True
+            x = Tensor(self._features[idx])
+            for stage in self.head:
+                x = stage.fn(x)
+        return x.data
 
 
 class CFTAttack:
@@ -266,23 +321,24 @@ class CFTAttack:
         trigger_steps = max(5, config.iterations // (config.n_flip_budget + 1) // 2)
         candidates_per_group = 3
 
-        def batch() -> tuple:
-            idx = rng.choice(
+        def batch() -> np.ndarray:
+            return rng.choice(
                 len(attacker_data),
                 size=min(config.batch_size, len(attacker_data)),
                 replace=False,
             )
-            return attacker_data.images[idx], attacker_data.labels[idx]
 
         def refine_trigger(steps: int) -> None:
             nonlocal stamped_eval
             for _ in range(steps):
-                images, labels = batch()
+                idx = batch()
                 # A trigger step reads only the loss and dF/dx: no weight
-                # gradient is computed.
+                # gradient is computed, and the clean term reuses the rows
+                # already forwarded at the current weights.
                 grads = attack_loss_and_grads(
-                    model, images, labels, trigger, config.target_class, config.alpha,
-                    param_names=(),
+                    model, attacker_data.images[idx], attacker_data.labels[idx], trigger,
+                    config.target_class, config.alpha, param_names=(),
+                    _clean_logits=clean_logits(idx),
                 )
                 loss_history.append(grads.loss)
                 if config.trigger_update and grads.trigger_grad is not None:
@@ -308,11 +364,11 @@ class CFTAttack:
         from repro.engine import EvalEngine, batch_enabled, engine_enabled
 
         engine = EvalEngine(model) if engine_enabled() else None
+        clean_logits = _CleanLogits(
+            engine.plan if engine is not None else compile_plan(model), attacker_data.images
+        )
 
         def _eval_logits(images: np.ndarray) -> np.ndarray:
-            from repro.autodiff import no_grad
-            from repro.autodiff.tensor import Tensor
-
             if engine is not None:
                 return engine.forward(images)
             with no_grad():
@@ -342,9 +398,6 @@ class CFTAttack:
             identical logits bytes imply bit-identical objective floats --
             and therefore an identical selected flip sequence.
             """
-            from repro.autodiff import cross_entropy, no_grad
-            from repro.autodiff.tensor import Tensor
-
             with no_grad():
                 clean = cross_entropy(Tensor(clean_logits), eval_labels).item()
                 trig_loss = cross_entropy(Tensor(trig_logits), eval_targets).item()
@@ -382,10 +435,10 @@ class CFTAttack:
         committed_flips: List[tuple] = []  # (index, old_value, new_value)
         current_q = original_q.copy()
         for round_index in range(config.n_flip_budget):
-            images, labels = batch()
+            idx = batch()
             grads = attack_loss_and_grads(
-                model, images, labels, trigger, config.target_class, config.alpha,
-                need_trigger_grad=False,
+                model, attacker_data.images[idx], attacker_data.labels[idx], trigger,
+                config.target_class, config.alpha, need_trigger_grad=False,
             )
             flat_grad = flatten_grads(grads.param_grads, names)
             baseline, _, _ = objective()

@@ -11,7 +11,9 @@ Callers name the parameters whose gradients they read (``param_names``);
 every other parameter is frozen for the call, so the tape never computes
 its gradient.  A trigger step reads none (``param_names=()``): with every
 parameter frozen the clean term leaves nothing on the tape and only the
-stamped branch is differentiated.
+stamped branch is differentiated, so a caller that already holds the
+batch's clean logits for the current weights may pass them instead of
+paying for the clean forward.
 The loss and every returned gradient are byte-identical to a full call.
 """
 
@@ -49,6 +51,8 @@ def attack_loss_and_grads(
     alpha: float,
     need_trigger_grad: bool = True,
     param_names: Optional[Iterable[str]] = None,
+    *,
+    _clean_logits: Optional[np.ndarray] = None,
 ) -> ObjectiveGrads:
     """Evaluate Eq. 3 on one batch and backpropagate both terms.
 
@@ -59,6 +63,12 @@ def attack_loss_and_grads(
     ``param_names`` selects the parameters whose gradients are computed and
     returned (``None``: all of them).  The others have ``requires_grad``
     off for the call and come back absent from ``param_grads``.
+
+    ``_clean_logits`` (internal) are the model's eval-mode logits for
+    ``images`` at the current weights; the clean term is then the cross
+    entropy of those rows, with no clean forward.  Only valid when no
+    parameter gradient is wanted, since the clean term's weight gradient
+    needs its taped forward.
     """
     model.zero_grad()
     named = dict(model.named_parameters())
@@ -70,13 +80,19 @@ def attack_loss_and_grads(
         if unknown:
             raise AttackError(f"unknown parameter names {unknown}")
         wanted = [name for name in named if name in requested]
+    if _clean_logits is not None and wanted:
+        raise AttackError("precomputed clean logits carry no weight gradient")
     target_labels = np.full(len(images), target_class, dtype=np.int64)
 
     with frozen(param for name, param in named.items() if name not in wanted):
         # Clean term: keep behaving correctly on unmodified inputs.  With no
         # parameter gradient wanted every parameter is frozen, so this
         # forward records no tape node.
-        clean_loss_t = cross_entropy(model(Tensor(images)), labels)
+        if _clean_logits is None:
+            clean_logits = model(Tensor(images))
+        else:
+            clean_logits = Tensor(_clean_logits)
+        clean_loss_t = cross_entropy(clean_logits, labels)
 
         # Trigger term: stamped inputs must map to the target class.  The
         # input is a differentiable leaf so dF/d(input) yields the FGSM

@@ -8,9 +8,10 @@ dicts on disk so tests and benchmarks do not retrain.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import os
 from pathlib import Path
-from typing import List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -18,7 +19,7 @@ from repro import telemetry
 from repro.autodiff import cross_entropy, no_grad
 from repro.autodiff.tensor import Tensor
 from repro.data.dataset import ArrayDataset, DataLoader
-from repro.data.synthetic import make_cifar10_like, make_imagenet_like
+from repro.data.synthetic import CIFAR10_LIKE, IMAGENET_LIKE, TaskPreset
 from repro.models import build_model
 from repro.nn.module import Module
 from repro.optim import SGD, CosineSchedule
@@ -99,12 +100,70 @@ def evaluate_accuracy(model: Module, dataset: ArrayDataset, batch_size: int = 25
     return correct / len(dataset) if len(dataset) else 0.0
 
 
+_TASKS = {"cifar10": CIFAR10_LIKE, "imagenet": IMAGENET_LIKE}
+
+
+def _task_preset(dataset: str) -> TaskPreset:
+    try:
+        return _TASKS[dataset]
+    except KeyError:
+        raise ValueError(
+            f"unknown dataset {dataset!r}; expected 'cifar10' or 'imagenet'"
+        ) from None
+
+
+@functools.lru_cache(maxsize=4)
+def _evaluation_splits(dataset: str, seed: int) -> Tuple[ArrayDataset, ArrayDataset]:
+    """The (test, attacker) splits of a victim task, memoized per process.
+
+    Every sweep task against one victim reads the same two splits, so they
+    are rendered once.  Their arrays are read-only: an in-place write raises
+    ``ValueError`` instead of leaking into the next caller's data.
+    """
+    preset = _task_preset(dataset)
+    task = preset.task(seed)
+    splits = (
+        task.generate(preset.test_count, "test"),
+        task.generate(preset.attacker_count, "attacker"),
+    )
+    for split in splits:
+        split.images.setflags(write=False)
+        split.labels.setflags(write=False)
+    return splits
+
+
+class _RenderOnRead(ArrayDataset):
+    """An :class:`ArrayDataset` whose arrays are rendered on first access.
+
+    The train split (the largest) is needed only to train a victim; a
+    cached checkpoint never reads it.  Each split has its own seeded stream,
+    so rendering it late gives the same bytes as rendering it eagerly.
+    """
+
+    def __init__(self, render: Callable[[], ArrayDataset]) -> None:
+        self._render = render
+        self._rendered: Optional[ArrayDataset] = None
+
+    def _data(self) -> ArrayDataset:
+        if self._rendered is None:
+            self._rendered = self._render()
+        return self._rendered
+
+    @property
+    def images(self) -> np.ndarray:
+        return self._data().images
+
+    @property
+    def labels(self) -> np.ndarray:
+        return self._data().labels
+
+
 def _dataset_splits(dataset: str, seed: int) -> Tuple[ArrayDataset, ArrayDataset, ArrayDataset]:
-    if dataset == "cifar10":
-        return make_cifar10_like(seed=seed)
-    if dataset == "imagenet":
-        return make_imagenet_like(seed=seed)
-    raise ValueError(f"unknown dataset {dataset!r}; expected 'cifar10' or 'imagenet'")
+    """(train, test, attacker): the train split renders on first read."""
+    preset = _task_preset(dataset)
+    test_data, attacker_data = _evaluation_splits(dataset, seed)
+    train_data = _RenderOnRead(lambda: preset.task(seed).generate(preset.train_count, "train"))
+    return train_data, test_data, attacker_data
 
 
 def pretrained_quantized_model(
@@ -120,11 +179,13 @@ def pretrained_quantized_model(
 
     Models are cached as ``.npz`` state dicts keyed by every hyperparameter
     that affects the weights, so repeated benchmark runs skip training.
+    The test and attacker splits are shared, read-only arrays (see
+    :func:`_evaluation_splits`); the train split renders on first read.
     """
     cache_dir = Path(cache_dir) if cache_dir is not None else default_cache_dir()
     cache_dir.mkdir(parents=True, exist_ok=True)
     train_data, test_data, attacker_data = _dataset_splits(dataset, seed)
-    num_classes = int(train_data.labels.max()) + 1
+    num_classes = _task_preset(dataset).spec.num_classes
 
     model = build_model(model_name, num_classes=num_classes, width=width, rng=seed)
     # v2: bump when the synthetic task definition changes, invalidating

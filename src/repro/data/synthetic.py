@@ -119,18 +119,26 @@ class SyntheticImageClassification:
         return np.clip(image, 0.0, 1.0).astype(np.float32)
 
 
-def make_cifar10_like(
-    train_count: int = 2000,
-    test_count: int = 1000,
-    attacker_count: int = 128,
-    seed: SeedLike = 0,
-) -> Tuple[ArrayDataset, ArrayDataset, ArrayDataset]:
-    """Build train/test/attacker splits of a CIFAR-10-like task.
+@dataclasses.dataclass(frozen=True)
+class TaskPreset:
+    """A named synthetic task: its spec and the default size of each split."""
 
-    Matches the paper's setup: the attacker holds 128 unseen test images
-    (Section V-A); TA/ASR are evaluated on the larger held-out test split.
-    """
-    task = SyntheticImageClassification(SyntheticSpec(num_classes=10, image_size=32), seed=seed)
+    spec: SyntheticSpec
+    train_count: int
+    test_count: int
+    attacker_count: int
+
+    def task(self, seed: SeedLike) -> SyntheticImageClassification:
+        return SyntheticImageClassification(self.spec, seed=seed)
+
+
+CIFAR10_LIKE = TaskPreset(SyntheticSpec(num_classes=10, image_size=32), 2000, 1000, 128)
+IMAGENET_LIKE = TaskPreset(SyntheticSpec(num_classes=40, image_size=32), 3000, 1000, 256)
+
+
+def _splits(
+    task: SyntheticImageClassification, train_count: int, test_count: int, attacker_count: int
+) -> Tuple[ArrayDataset, ArrayDataset, ArrayDataset]:
     return (
         task.generate(train_count, "train"),
         task.generate(test_count, "test"),
@@ -138,12 +146,26 @@ def make_cifar10_like(
     )
 
 
+def make_cifar10_like(
+    train_count: int = CIFAR10_LIKE.train_count,
+    test_count: int = CIFAR10_LIKE.test_count,
+    attacker_count: int = CIFAR10_LIKE.attacker_count,
+    seed: SeedLike = 0,
+) -> Tuple[ArrayDataset, ArrayDataset, ArrayDataset]:
+    """Build train/test/attacker splits of a CIFAR-10-like task.
+
+    Matches the paper's setup: the attacker holds 128 unseen test images
+    (Section V-A); TA/ASR are evaluated on the larger held-out test split.
+    """
+    return _splits(CIFAR10_LIKE.task(seed), train_count, test_count, attacker_count)
+
+
 def make_imagenet_like(
-    train_count: int = 3000,
-    test_count: int = 1000,
-    attacker_count: int = 256,
-    num_classes: int = 40,
-    image_size: int = 32,
+    train_count: int = IMAGENET_LIKE.train_count,
+    test_count: int = IMAGENET_LIKE.test_count,
+    attacker_count: int = IMAGENET_LIKE.attacker_count,
+    num_classes: int = IMAGENET_LIKE.spec.num_classes,
+    image_size: int = IMAGENET_LIKE.spec.image_size,
     seed: SeedLike = 1,
 ) -> Tuple[ArrayDataset, ArrayDataset, ArrayDataset]:
     """Build a scaled-down ImageNet-like task (more classes than CIFAR).
@@ -153,9 +175,5 @@ def make_imagenet_like(
     harder many-class regime that drives the larger N_flip the paper reports.
     """
     spec = SyntheticSpec(num_classes=num_classes, image_size=image_size)
-    task = SyntheticImageClassification(spec, seed=seed)
-    return (
-        task.generate(train_count, "train"),
-        task.generate(test_count, "test"),
-        task.generate(attacker_count, "attacker"),
-    )
+    return _splits(SyntheticImageClassification(spec, seed=seed),
+                   train_count, test_count, attacker_count)

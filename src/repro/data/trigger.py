@@ -97,11 +97,6 @@ class TriggerPattern:
         ).astype(np.float32)
         return trigger
 
-    @property
-    def num_trigger_pixels(self) -> int:
-        """Number of pixels (per channel counted separately) in the mask."""
-        return int(self.mask.sum())
-
     def apply(self, images: np.ndarray) -> np.ndarray:
         """Stamp the trigger onto a batch (N, C, H, W) or single image (C, H, W)."""
         images = np.asarray(images, dtype=np.float32)

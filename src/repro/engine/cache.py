@@ -27,16 +27,6 @@ class CacheStats:
         total = self.hits + self.misses
         return self.hits / total if total else 0.0
 
-    def as_dict(self) -> dict:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-            "evicted_bytes": self.evicted_bytes,
-            "stored_bytes": self.stored_bytes,
-            "hit_rate": self.hit_rate(),
-        }
-
 
 @dataclass
 class _Entry:

@@ -219,7 +219,3 @@ class DRAMArray:
         # a toggle; one byte can hold several firing cells, hence ``at``.
         np.bitwise_xor.at(data, column, np.left_shift(1, bit, dtype=np.uint8))
         return list(zip(column.tolist(), bit.tolist(), cells.direction[fire].tolist()))
-
-    def observed_flip_fraction(self) -> float:
-        """Fraction of cells that are vulnerable (for Fig. 2's 0.036 %)."""
-        return self.flips_per_page_mean / (PAGE_FRAME_SIZE * 8)

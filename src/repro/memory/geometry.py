@@ -104,7 +104,3 @@ class DRAMGeometry:
                 base_frame = chunk * self.pages_per_row
                 frames.extend(range(base_frame, base_frame + self.pages_per_row))
         return frames
-
-    def row_of_frame(self, frame: int) -> DRAMAddress:
-        """Alias for :meth:`frame_address` (row identity of a frame)."""
-        return self.frame_address(frame)

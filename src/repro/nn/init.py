@@ -14,13 +14,6 @@ def kaiming_normal(shape, fan_in: int, rng: SeedLike = None) -> np.ndarray:
     return rng.normal(0.0, std, size=shape).astype(np.float32)
 
 
-def kaiming_uniform(shape, fan_in: int, rng: SeedLike = None) -> np.ndarray:
-    """He-uniform initialization (PyTorch's Linear/Conv default family)."""
-    rng = new_rng(rng)
-    bound = np.sqrt(6.0 / fan_in)
-    return rng.uniform(-bound, bound, size=shape).astype(np.float32)
-
-
 def uniform_bias(shape, fan_in: int, rng: SeedLike = None) -> np.ndarray:
     """PyTorch-style bias init: U(-1/sqrt(fan_in), 1/sqrt(fan_in))."""
     rng = new_rng(rng)

@@ -20,6 +20,10 @@ cover, because ``fork`` workers inherit the parent's modules verbatim):
 - The model-zoo disk cache (:mod:`repro.core.training`) is shared on
   purpose; writes are atomic (temp file + rename), so concurrent workers
   can never read a torn checkpoint.
+- :mod:`repro.core.training`'s split memo (the test and attacker splits
+  per ``(dataset, seed)``) is inherited under fork on purpose: its arrays
+  are read-only and fully determined by the key, so a stale entry cannot
+  exist and it needs no reset.
 - :data:`repro.models.MODEL_REGISTRY` and the quantization/page constants
   are populated at import time and never mutated: safe under fork.
 - :mod:`repro.engine`'s enabled flag is read from ``REPRO_ENGINE`` at

@@ -90,9 +90,6 @@ class QuantizedModel:
     def scale_of(self, name: str) -> float:
         return self._qparams[name].scale
 
-    def qparams_of(self, name: str) -> QuantizationParams:
-        return self._qparams[name]
-
     def locate(self, flat_index: int) -> Tuple[str, int]:
         """Map a flat weight-file byte index to (parameter name, local index).
 

@@ -20,7 +20,7 @@ Hammering one row takes 800 ms with a 15-sided pattern and 400 ms with a
 from __future__ import annotations
 
 import dataclasses
-from typing import List, Sequence, Tuple
+from typing import List, Tuple
 
 from repro import telemetry
 from repro.errors import RowhammerError
@@ -112,12 +112,6 @@ class HammerEngine:
                 seconds=seconds,
             )
         return HammerResult(bank=bank, row=row, flips=flips, n_sides=n_sides, seconds=seconds)
-
-    def hammer_sweep(
-        self, bank: int, rows: Sequence[int], n_sides: int
-    ) -> List[HammerResult]:
-        """Hammer a set of victim rows (profiling sweeps use this)."""
-        return [self.hammer_victim(bank, row, n_sides) for row in rows]
 
     def double_sided_effective(self) -> bool:
         """Whether the classic double-sided pattern works on this device."""

@@ -61,10 +61,6 @@ class PageTemplater:
         ):
             self._frame_flips.setdefault(frame, set()).add((offset, bit, direction))
 
-    @property
-    def flippy_frames(self) -> List[int]:
-        return sorted(self._frame_flips)
-
     def frames_covering(self, requirements: Sequence[Tuple[int, int, int]]) -> List[int]:
         """All frames whose profiled flips include every requirement."""
         needed = set(requirements)

@@ -51,6 +51,70 @@ class TestModelCache:
             pretrained_quantized_model("resnet20", dataset="mnist", cache_dir=tmp_path)
 
 
+class TestSplitMemo:
+    """Evaluation splits are memoized read-only; the train split renders lazily."""
+
+    @pytest.fixture
+    def generate_calls(self, monkeypatch):
+        from repro.data.synthetic import SyntheticImageClassification
+
+        calls = []
+        original = SyntheticImageClassification.generate
+
+        def counting(task, count, split="train"):
+            calls.append(split)
+            return original(task, count, split)
+
+        monkeypatch.setattr(SyntheticImageClassification, "generate", counting)
+        return calls
+
+    def test_warm_cache_never_renders_train(self, tmp_path, generate_calls):
+        from repro.core.training import _evaluation_splits, pretrained_quantized_model
+        from repro.data.synthetic import make_cifar10_like
+
+        seed = 7
+        pretrained_quantized_model("tinycnn", epochs=1, seed=seed, cache_dir=tmp_path)
+        _evaluation_splits.cache_clear()
+        generate_calls.clear()
+        _, train, test, attacker = pretrained_quantized_model(
+            "tinycnn", epochs=1, seed=seed, cache_dir=tmp_path
+        )
+        assert generate_calls == ["test", "attacker"]
+        _, _, test_again, attacker_again = pretrained_quantized_model(
+            "tinycnn", epochs=1, seed=seed, cache_dir=tmp_path
+        )
+        assert generate_calls == ["test", "attacker"]
+        assert test_again is test and attacker_again is attacker
+
+        # Reading the train split renders it, byte-equal to the eager build.
+        expected = make_cifar10_like(seed=seed)
+        assert train.images.tobytes() == expected[0].images.tobytes()
+        assert train.labels.tobytes() == expected[0].labels.tobytes()
+        assert len(train) == len(expected[0])
+        for got, want in zip((test, attacker), expected[1:]):
+            assert got.images.tobytes() == want.images.tobytes()
+            assert got.labels.tobytes() == want.labels.tobytes()
+
+    def test_memoized_splits_are_read_only(self):
+        from repro.core.training import _evaluation_splits
+
+        for split in _evaluation_splits("cifar10", 0):
+            with pytest.raises(ValueError):
+                split.images[0, 0, 0, 0] = 0.0
+            with pytest.raises(ValueError):
+                split.labels[0] = 0
+
+    @pytest.mark.parametrize("dataset", ["cifar10", "imagenet"])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_num_classes_from_spec_matches_sampled_labels(self, dataset, seed):
+        # The victim's output count once came from the sampled train labels;
+        # the spec must agree so no cached checkpoint changes shape.
+        from repro.core.training import _dataset_splits, _task_preset
+
+        train, _, _ = _dataset_splits(dataset, seed)
+        assert _task_preset(dataset).spec.num_classes == int(train.labels.max()) + 1
+
+
 class TestExperimentScale:
     def test_presets(self, monkeypatch):
         monkeypatch.setenv("REPRO_BENCH_SCALE", "tiny")
