@@ -56,6 +56,11 @@ class DRAMGeometry:
             # Real DRAM rows are; the fault-map draw decodes columns with an
             # exact multiply-shift that needs a power-of-two range.
             raise MemoryModelError(f"row size {self.row_size_bytes} must be a power of two")
+        if self.num_banks & (self.num_banks - 1):
+            # The XOR-folded bank hash is a bijection on each row's chunk
+            # window only for a power-of-two bank count; otherwise two
+            # chunks share a (bank, row) and their frames alias.
+            raise MemoryModelError(f"num_banks {self.num_banks} must be a power of two")
 
     @property
     def pages_per_row(self) -> int:
@@ -83,11 +88,16 @@ class DRAMGeometry:
             raise MemoryModelError(
                 f"physical address {phys_addr:#x} outside device ({self.total_bytes:#x} bytes)"
             )
-        column = phys_addr % self.row_size_bytes
-        chunk = phys_addr // self.row_size_bytes
-        bank = (chunk ^ (chunk // self.num_banks)) % self.num_banks
+        bank, row = self.chunk_location(phys_addr // self.row_size_bytes)
+        return DRAMAddress(bank=bank, row=row, column=phys_addr % self.row_size_bytes)
+
+    def chunk_location(self, chunk):
+        """(bank, row) of a row-sized chunk of physical memory.
+
+        ``chunk`` may be an int or an integer array (one entry per chunk).
+        """
         row = chunk // self.num_banks
-        return DRAMAddress(bank=bank, row=row, column=column)
+        return (chunk ^ row) % self.num_banks, row
 
     def frame_address(self, frame: int) -> DRAMAddress:
         """DRAM coordinates of the first byte of a page frame."""
@@ -100,7 +110,7 @@ class DRAMGeometry:
         frames = []
         # All chunks with this row index lie in one contiguous chunk window.
         for chunk in range(row * self.num_banks, (row + 1) * self.num_banks):
-            if (chunk ^ (chunk // self.num_banks)) % self.num_banks == bank:
+            if self.chunk_location(chunk)[0] == bank:
                 base_frame = chunk * self.pages_per_row
                 frames.extend(range(base_frame, base_frame + self.pages_per_row))
         return frames

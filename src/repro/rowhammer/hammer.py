@@ -20,7 +20,7 @@ Hammering one row takes 800 ms with a 15-sided pattern and 400 ms with a
 from __future__ import annotations
 
 import dataclasses
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 from repro import telemetry
 from repro.errors import RowhammerError
@@ -82,19 +82,28 @@ class HammerEngine:
     # ------------------------------------------------------------------
     # Hammering
     # ------------------------------------------------------------------
-    def hammer_victim(self, bank: int, row: int, n_sides: int) -> HammerResult:
+    def hammer_victim(
+        self, bank: int, row: int, n_sides: int, fill: Optional[int] = None
+    ) -> HammerResult:
         """Hammer one victim row with an n-sided aggressor pattern.
 
         The caller is responsible for owning the aggressor rows around the
         victim (the placement machinery in :mod:`repro.memory.mmap` ensures
         this); the engine models the disturbance physics.
+
+        With a ``fill`` byte (0x00 or 0xFF) the row is hammered as if it
+        held that byte everywhere, and its bytes are neither read nor
+        written (:meth:`DRAMArray.filled_row_flips`): the profiler's fills.
         """
         geometry = self.dram.geometry
         if not 0 <= bank < geometry.num_banks:
             raise RowhammerError(f"victim bank {bank} out of range")
         if not 0 <= row < geometry.rows_per_bank:
             raise RowhammerError(f"victim row {row} out of range")
-        flips = self.dram.hammer_row(bank, row, self.intensity(n_sides))
+        if fill is None:
+            flips = self.dram.hammer_row(bank, row, self.intensity(n_sides))
+        else:
+            flips = self.dram.filled_row_flips(bank, row, self.intensity(n_sides), fill)
         seconds = self.seconds_per_row(n_sides)
         self.total_seconds += seconds
         if telemetry.enabled():

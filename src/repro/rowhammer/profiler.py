@@ -6,9 +6,11 @@ read back, then filled with all-ones for the 1->0 direction.  The result is
 a :class:`FlipProfile`: the device's usable fault map in page coordinates,
 which the templating step matches against the weight file's needed flips.
 
-The row is the unit of work.  Each profiled row's buffer is snapshotted,
-filled, hammered once per fill through :meth:`HammerEngine.hammer_victim`
-(so every attempt is counted and flight-recorded) and restored in place.
+Under a uniform fill the outcome of hammering does not depend on what the
+row held, so the fills are virtual: each (row, fill) is one
+:meth:`HammerEngine.hammer_victim` attempt with that ``fill`` (counted and
+flight-recorded as such), which reads the row's cell map and never touches
+its bytes.  Rows are taken in batches whose fault maps are drawn together.
 The profile itself is columnar -- one array per field, one entry per flip;
 :attr:`FlipProfile.records` builds :class:`FlipRecord` objects on demand.
 """
@@ -17,18 +19,27 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import itertools
 from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from repro import telemetry
 from repro.errors import RowhammerError
+from repro.memory.dram import CELLS_PER_BATCH
 from repro.memory.geometry import PAGE_FRAME_SIZE
 from repro.memory.mmap import MappedFile, OSMemoryModel
 from repro.rowhammer.hammer import HammerEngine
 
 # Paper: profiling 128 MB takes 94 minutes (Section IV-A2).
 PROFILE_MINUTES_PER_128MB = 94.0
+
+# Rows whose fault maps are drawn together, just before they are hammered.
+# Enough rows to amortize the array seeding of a batch draw (DRAMArray);
+# drawing a whole 1024-row buffer first instead raised attack-resnet20's
+# peak RSS from 315 MB to 347-359 MB (heap fragmentation, as with large
+# decode passes), while 32 to 512 rows at a time kept it at 315 MB.
+DRAW_AHEAD_ROWS = 256
 
 
 @dataclasses.dataclass(frozen=True)
@@ -161,15 +172,48 @@ class MemoryProfiler:
     def profile_frames(self, frames: Sequence[int], n_sides: int) -> FlipProfile:
         """Profile explicit physical frames for both flip directions."""
         geometry = self.os.dram.geometry
+        listed = np.asarray(frames, dtype=np.int64)
+        wanted = np.sort(listed)
+        if np.any(wanted[1:] == wanted[:-1]):
+            raise RowhammerError("profiled frames must be distinct")
+        outside = (listed < 0) | (listed >= geometry.total_frames)
+        if outside.any():  # the first such frame raises MemoryModelError
+            geometry.frame_address(int(listed[outside.argmax()]))
         # Group frames by the DRAM row that contains them; rows are the
-        # hammering granularity, pages the reporting granularity.
-        rows = dict.fromkeys(
-            (address.bank, address.row) for address in map(geometry.frame_address, frames)
-        )
+        # hammering granularity, pages the reporting granularity.  A row's
+        # frames are one chunk of ``pages_per_row`` frames (the bank count
+        # is a power of two), so the chunk number names the row.
+        chunk = listed // geometry.pages_per_row
+        chunks = chunk[np.sort(np.unique(chunk, return_index=True)[1])]  # first-seen order
+        banks, row_numbers = geometry.chunk_location(chunks)
+        rows = list(zip(banks.tolist(), row_numbers.tolist()))
 
-        frame_set = set(frames)
+        dram = self.os.dram
+        cells_per_row = dram.flips_per_page_mean * geometry.pages_per_row
+        batch = max(1, int(CELLS_PER_BATCH // max(cells_per_row, 1.0)))
+        ahead = batch * -(-DRAW_AHEAD_ROWS // batch)  # whole batches
+        reaches_cells = self.engine.intensity(n_sides) > 0  # else nothing is drawn
+        found = []
         with telemetry.span("profiler.sweep", frames=len(frames), n_sides=n_sides):
-            found = [self._profile_row(bank, row, frame_set, n_sides) for bank, row in rows]
+            for lo in range(0, len(rows), batch):
+                if reaches_cells and lo % ahead == 0:
+                    dram.vulnerable_cells(*rows[lo], prefetch=rows[lo + 1 : lo + ahead])
+                batch_rows = rows[lo : lo + batch]
+                flips, counts = [], []
+                for bank, row in batch_rows:
+                    before = len(flips)
+                    for fill in (0x00, 0xFF):
+                        flips += self.engine.hammer_victim(bank, row, n_sides, fill).flips
+                    counts.append(len(flips) - before)
+                flat = np.fromiter(itertools.chain.from_iterable(flips), np.int64, 3 * len(flips))
+                column, bit, direction = flat.reshape(-1, 3).T
+                owner = np.repeat(chunks[lo : lo + len(batch_rows)], counts)
+                frame = owner * geometry.pages_per_row + column // PAGE_FRAME_SIZE
+                slot = np.searchsorted(wanted, frame)  # wanted is sorted
+                keep = wanted[np.minimum(slot, wanted.size - 1)] == frame
+                found.append(
+                    (frame[keep], column[keep] % PAGE_FRAME_SIZE, bit[keep], direction[keep])
+                )
         # Columns of (frame, byte_offset, bit, direction), rows concatenated.
         columns = (
             [np.concatenate(column) for column in zip(*found)]
@@ -193,24 +237,3 @@ class MemoryProfiler:
                 n_sides=n_sides,
             )
         return profile
-
-    def _profile_row(
-        self, bank: int, row: int, frame_set: set, n_sides: int
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Hammer one row under 0x00 and 0xFF fills; flips in ``frame_set``."""
-        dram = self.os.dram
-        row_frames = dram.geometry.frames_in_row(bank, row)
-        data = dram.row_buffer(bank, row)
-        original = data.copy()
-        found = []
-        for fill, direction in ((0x00, 1), (0xFF, -1)):
-            data.fill(fill)
-            flips = self.engine.hammer_victim(bank, row, n_sides).flips
-            flips = np.array(flips, dtype=np.int64).reshape(-1, 3)
-            found.append(flips[flips[:, 2] == direction])
-        # Restore whatever the row held before profiling.
-        data[:] = original
-        column, bit, direction = np.concatenate(found).T
-        page = column // PAGE_FRAME_SIZE
-        keep = np.array([frame in frame_set for frame in row_frames])[page]
-        return row_frames[0] + page[keep], column[keep] % PAGE_FRAME_SIZE, bit[keep], direction[keep]

@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import MemoryModelError
-from repro.memory.dram import DRAMArray
+from repro.memory.dram import _ARRAY_SEEDING_MIN_ROWS, DRAMArray, _pcg64_states
 from repro.memory.geometry import DRAMGeometry, PAGE_FRAME_SIZE
+from tests.reference_dram import reference_cells, reference_hammer
 
 
 @pytest.fixture
@@ -121,47 +122,6 @@ class TestHammering:
         assert dram.hammer_row(0, 0, intensity=0.0) == []
 
 
-# ----------------------------------------------------------------------
-# Draw-stream oracle: the scalar loops that define the fault map.  They
-# live only here, so the library keeps a single (vectorized) code path.
-# ----------------------------------------------------------------------
-def reference_cells(dram, bank, row):
-    """(column, bit, direction, strength) per cell, and the skipped repeats."""
-    geometry = dram.geometry
-    rng = np.random.default_rng(np.random.SeedSequence([dram._device_seed, bank, row]))
-    count = int(rng.poisson(dram.flips_per_page_mean * geometry.pages_per_row))
-    cells, seen, repeats = [], set(), 0
-    for _ in range(count):
-        column = int(rng.integers(0, geometry.row_size_bytes))
-        bit = int(rng.integers(0, 8))
-        if (column, bit) in seen:
-            repeats += 1
-            continue
-        seen.add((column, bit))
-        direction = 1 if rng.random() < 0.5 else -1
-        cells.append((column, bit, direction, float(rng.uniform(0.0, 1.0))))
-    return cells, repeats
-
-
-def reference_hammer(data, cells, intensity):
-    """Flip cells one at a time; returns (column, bit, direction) flips."""
-    flipped = []
-    if intensity <= 0:
-        return flipped
-    for column, bit, direction, strength in cells:
-        if strength > intensity:
-            continue
-        mask = 1 << bit
-        current = bool(data[column] & mask)
-        if direction == 1 and not current:
-            data[column] |= mask
-            flipped.append((column, bit, 1))
-        elif direction == -1 and current:
-            data[column] &= ~mask & 0xFF
-            flipped.append((column, bit, -1))
-    return flipped
-
-
 def cell_tuples(cells):
     return list(
         zip(
@@ -240,3 +200,122 @@ class TestDrawStreamOracle:
             flips = dram.hammer_row(bank, row, intensity)
             assert flips == reference_hammer(expected_data, cells, intensity)
             assert dram.row_buffer(bank, row).tobytes() == bytes(expected_data)
+
+
+row_keys = st.tuples(st.integers(0, 3), st.integers(0, 31))
+
+
+def draw_batch(dram, keys):
+    """Draw ``keys`` through one prefetching call; return each key's cells."""
+    first_missing = keys[0] not in dram._cells
+    dram.vulnerable_cells(*keys[0], prefetch=keys[1:])
+    if first_missing:  # the whole batch was drawn by that one call
+        assert all(key in dram._cells for key in keys)
+    return [dram.vulnerable_cells(*key) for key in keys]
+
+
+class TestBatchedDraw:
+    """A prefetching ``vulnerable_cells`` equals one scalar draw per row."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        params=devices,
+        batch=st.lists(row_keys, min_size=1, max_size=12),
+        cached=st.lists(row_keys, max_size=4),
+    )
+    def test_batch_equals_scalar_reference(self, params, batch, cached):
+        dram = device_for(params)
+        for bank, row in cached:  # some keys are cached before the batch
+            dram.vulnerable_cells(bank, row)
+        drawn = draw_batch(dram, batch)
+        for (bank, row), cells in zip(batch, drawn):
+            assert cell_tuples(cells) == reference_cells(dram, bank, row)[0]
+            assert cells.column.dtype == np.int64 and cells.bit.dtype == np.uint8
+            assert cells.direction.dtype == np.int8 and cells.strength.dtype == np.float64
+
+    @pytest.mark.parametrize("row_size", [4096, 8192, 16384])
+    @pytest.mark.parametrize("density", [400.0, 1500.0])
+    def test_dense_rows_with_repeats(self, row_size, density):
+        geometry = DRAMGeometry(num_banks=4, rows_per_bank=32, row_size_bytes=row_size)
+        dram = DRAMArray(geometry, flips_per_page_mean=density, seed=5)
+        batch = [(bank, row) for bank in range(4) for row in (0, 7, 31)]
+        repeats = 0
+        for (bank, row), cells in zip(batch, draw_batch(dram, batch)):
+            expected, skipped = reference_cells(dram, bank, row)
+            repeats += skipped
+            assert cell_tuples(cells) == expected
+        assert repeats > len(batch)  # the multi-pass repeat path really ran
+
+    def test_duplicate_and_cached_keys_share_one_draw(self, geometry):
+        dram = DRAMArray(geometry, flips_per_page_mean=30.0, seed=2)
+        single = dram.vulnerable_cells(1, 4)
+        first, again, other, cached = draw_batch(dram, [(1, 5), (1, 5), (2, 9), (1, 4)])
+        assert first is again and cached is single
+        assert sorted(dram._cells) == [(1, 4), (1, 5), (2, 9)]
+        fresh = DRAMArray(geometry, flips_per_page_mean=30.0, seed=2)
+        assert same_cells(first, fresh.vulnerable_cells(1, 5))
+        assert same_cells(other, fresh.vulnerable_cells(2, 9))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        # One, two and (past the pool size) three words of device seed.
+        device_seed=st.one_of(
+            st.integers(0, 2**32 - 1), st.integers(0, 2**63 - 1), st.integers(2**64, 2**90)
+        ),
+        keys=st.lists(
+            st.tuples(st.integers(0, 255), st.integers(0, 2**32 - 1)), min_size=1, max_size=8
+        ),
+    )
+    def test_array_seeding_equals_seed_sequence(self, device_seed, keys):
+        for key, (state, inc) in zip(keys, _pcg64_states(device_seed, keys)):
+            seeded = np.random.PCG64(np.random.SeedSequence([device_seed, *key]))
+            assert seeded.state["state"] == {"state": state, "inc": inc}
+
+    @pytest.mark.parametrize("row_size", [4096, 16384])
+    def test_many_rows_use_array_seeding(self, row_size):
+        geometry = DRAMGeometry(num_banks=4, rows_per_bank=32, row_size_bytes=row_size)
+        dram = DRAMArray(geometry, flips_per_page_mean=40.0, seed=9)
+        batch = [(bank, row) for row in range(32) for bank in range(4)]
+        assert len(batch) >= _ARRAY_SEEDING_MIN_ROWS
+        for (bank, row), cells in zip(batch, draw_batch(dram, batch)):
+            assert cell_tuples(cells) == reference_cells(dram, bank, row)[0]
+
+    def test_cached_row_draws_no_prefetch(self, geometry):
+        dram = DRAMArray(geometry, flips_per_page_mean=30.0, seed=2)
+        cells = dram.vulnerable_cells(1, 4)
+        assert dram.vulnerable_cells(1, 4, prefetch=[(2, 9)]) is cells
+        assert sorted(dram._cells) == [(1, 4)]
+
+    def test_batch_draw_touches_no_row_bytes(self, geometry):
+        dram = DRAMArray(geometry, flips_per_page_mean=30.0, seed=2)
+        dram.vulnerable_cells(0, 0, prefetch=[(3, 31)])
+        assert dram._rows == {}
+
+
+class TestFilledRowFlips:
+    """``filled_row_flips`` equals hammering a row that holds the fill byte."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        params=devices,
+        key=row_keys,
+        content=st.binary(min_size=1, max_size=64),
+        intensity=st.sampled_from([0.0, 0.2, 0.45, 0.7, 1.0]),
+    )
+    def test_equals_hammer_row_on_a_filled_row(self, params, key, content, intensity):
+        dram = device_for(params)
+        size = dram.geometry.row_size_bytes
+        data = dram.row_buffer(*key)
+        data[:] = np.resize(np.frombuffer(content, dtype=np.uint8), size)
+        before = data.copy()
+        for fill in (0x00, 0xFF):
+            flips = dram.filled_row_flips(*key, intensity, fill)
+            assert np.array_equal(dram.row_buffer(*key), before)  # bytes untouched
+            filled = DRAMArray(dram.geometry, dram.flips_per_page_mean, seed=params["seed"])
+            filled.row_buffer(*key).fill(fill)
+            assert flips == filled.hammer_row(*key, intensity)
+
+    def test_rejects_a_fill_that_is_not_uniform(self, geometry):
+        dram = DRAMArray(geometry, flips_per_page_mean=30.0, seed=2)
+        with pytest.raises(MemoryModelError, match="fill"):
+            dram.filled_row_flips(0, 0, 1.0, 0x01)

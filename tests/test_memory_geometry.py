@@ -25,6 +25,24 @@ class TestGeometry:
             DRAMGeometry(row_size_bytes=12288)
         assert DRAMGeometry(row_size_bytes=16384).pages_per_row == 4
 
+    @pytest.mark.parametrize("banks", [3, 6, 12])
+    def test_num_banks_must_be_power_of_two(self, banks):
+        # At 3 banks, frames 6 and 8 would both map to (bank 2, row 1, column 0).
+        with pytest.raises(MemoryModelError, match="power of two"):
+            DRAMGeometry(num_banks=banks, rows_per_bank=4)
+
+    @pytest.mark.parametrize("banks", [1, 2, 4, 8, 16, 64, 256])
+    def test_each_row_owns_one_chunk(self, banks):
+        geo = DRAMGeometry(num_banks=banks, rows_per_bank=4)
+        seen = {}
+        for frame in range(geo.total_frames):
+            addr = geo.frame_address(frame)
+            # A row's frames are one contiguous chunk, distinct per row.
+            chunk = frame // geo.pages_per_row
+            assert seen.setdefault((addr.bank, addr.row), chunk) == chunk
+            assert geo.frames_in_row(addr.bank, addr.row)[0] == chunk * geo.pages_per_row
+        assert len(seen) == banks * geo.rows_per_bank
+
     def test_non_positive_fields_raise(self):
         with pytest.raises(MemoryModelError):
             DRAMGeometry(num_banks=0)
