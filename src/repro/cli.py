@@ -233,7 +233,6 @@ def _cmd_queue_sweep(args: argparse.Namespace, grid) -> int:
             max_attempts=args.max_attempts,
             backoff_seconds=args.backoff,
             beacon_interval=args.beacon_interval,
-            timeline_interval=args.timeline_interval,
         )
     except SweepError as exc:
         print(f"sweep: {exc}", file=sys.stderr)
@@ -242,7 +241,7 @@ def _cmd_queue_sweep(args: argparse.Namespace, grid) -> int:
         json.dump(result.rows, handle, indent=2, sort_keys=True)
         handle.write("\n")
     if args.events:
-        meta = {"command": "sweep", "schedule": "queue", "worker": result.worker}
+        meta = {"command": "sweep", "worker": result.worker}
         lines = telemetry.dump_events(args.events, meta=meta)
         # A copy inside the queue directory makes it self-contained:
         # `repro report <queue-dir>` renders the fleet's scheduler
@@ -275,8 +274,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
     from repro import telemetry
     from repro.core.experiment import SCALE_PRESETS, ExperimentScale, format_sweep
+    from repro.errors import SweepError
     from repro.parallel import SweepGrid, run_sweep
 
+    if args.workers < 1:
+        print(f"sweep: --workers must be at least 1, got {args.workers}", file=sys.stderr)
+        return 2
     scale = SCALE_PRESETS[args.scale] if args.scale else ExperimentScale.from_env()
     grid_kwargs = dict(
         methods=tuple(args.methods.split(",")),
@@ -299,17 +302,21 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         # the process-wide recorder).
         telemetry.get_recorder().reset()
     journal = args.journal or f"{args.out}.journal.jsonl"
-    result = run_sweep(
-        grid,
-        workers=args.workers,
-        journal_path=journal,
-        resume=args.resume,
-        max_attempts=args.max_attempts,
-        backoff_seconds=args.backoff,
-        shard=args.shard,
-        live_dir=args.live_dir,
-        beacon_interval=args.beacon_interval,
-    )
+    try:
+        result = run_sweep(
+            grid,
+            workers=args.workers,
+            journal_path=journal,
+            resume=args.resume,
+            max_attempts=args.max_attempts,
+            backoff_seconds=args.backoff,
+            shard=args.shard,
+            live_dir=args.live_dir,
+            beacon_interval=args.beacon_interval,
+        )
+    except SweepError as exc:
+        print(f"sweep: {exc}", file=sys.stderr)
+        return 2
     with open(args.out, "w", encoding="utf-8") as handle:
         json.dump(result.rows, handle, indent=2, sort_keys=True)
         handle.write("\n")
@@ -525,15 +532,12 @@ def _cmd_merge(args: argparse.Namespace) -> int:
         )
     print(format_sweep(result.rows))
     print(
-        f"merge: {len(result.shards)} {result.schedule} journal(s), "
+        f"merge: {len(result.journals)} journal(s), "
         f"{len(result.records)} result(s) "
         f"({len(result.failures)} failed, {result.missing_count} missing) of "
         f"{result.total_tasks} grid task(s); rows -> {args.out}, journal -> {journal}"
     )
-    if result.workers:
-        print(f"  queue workers: {', '.join(result.workers)}")
-    if result.missing_shards:
-        print(f"  missing shard index(es): {result.missing_shards}")
+    print(f"  owners: {', '.join(result.workers)}")
     for task_id in result.missing_task_ids:
         print(f"  MISSING {task_id} (no journaled result)")
     for task_id, record in result.failures:
@@ -733,13 +737,9 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--beacon-interval", type=float, default=2.0,
                        metavar="SECONDS",
                        help="live status beacon refresh interval (0 disables; "
-                            "queue mode writes to <queue>/beacons/, pool/shard "
-                            "mode needs --live-dir)")
-    sweep.add_argument("--timeline-interval", type=float, default=0.0,
-                       metavar="SECONDS",
-                       help="queue mode: sample sched./engine./pipeline counters "
-                            "to <queue>/timeline/<worker>.timeline.jsonl every "
-                            "SECONDS (0 disables)")
+                            "queue mode writes to <queue>/beacons/ and the "
+                            "<queue>/timeline/ ring, pool/shard mode needs "
+                            "--live-dir)")
     sweep.add_argument("--live-dir", metavar="DIR", default=None,
                        help="pool/shard mode: keep a live status beacon fresh "
                             "in this directory for `repro watch`-style tooling "
@@ -780,8 +780,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     merge = sub.add_parser(
         "merge",
-        help="validate per-host sweep journals (shard or queue mode) and "
-             "reassemble the grid-ordered sweep",
+        help="validate per-host sweep journals (any mix of shard, queue and "
+             "unsharded journals of one grid) and reassemble the grid-ordered "
+             "sweep",
     )
     merge.add_argument("journals", nargs="+",
                        help="journal JSONL files in any order -- or a queue "
@@ -796,9 +797,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="write the merged flight record here (requires the "
                             "shards to have run with --events)")
     merge.add_argument("--allow-incomplete", action="store_true",
-                       help="degrade missing shards/results into a grid-ordered "
+                       help="degrade missing results into a grid-ordered "
                             "partial merge with the gaps reported (SHA mismatches, "
-                            "duplicates and conflicts still fail)")
+                            "duplicate owners and conflicts still fail)")
     merge.add_argument("--no-manifest", action="store_true",
                        help="skip writing <out>.manifest.json")
 

@@ -53,34 +53,21 @@ class MergeError(SweepError):
 
     - ``"no-journals"``          -- nothing to merge;
     - ``"unreadable-journal"``   -- a named journal file does not exist;
-    - ``"missing-header"``       -- a journal has no (intact) header line;
-    - ``"mixed-schedule"``       -- shard-mode and queue-mode journals were
-      passed to one merge (they describe different runs);
-    - ``"missing-shard-metadata"`` -- a shard journal predates sharding
-      (header lacks ``shard_index``/``shard_count``/``shard_task_ids``);
-    - ``"missing-queue-metadata"`` -- a ``schedule=queue`` journal header
-      lacks ``worker``/``grid_task_ids``;
+    - ``"missing-header"``       -- a journal has no intact current-schema
+      header line (none at all, or a schema-1 header of an earlier version;
+      ``details["fields"]`` names the absent header fields);
     - ``"sha-mismatch"``         -- journals were written for different grids;
-    - ``"grid-tasks-mismatch"``  -- queue journals agree on the grid SHA but
+    - ``"grid-tasks-mismatch"``  -- journals agree on the grid SHA but
       disagree on the grid's task-id list (corrupted/edited header);
-    - ``"shard-count-mismatch"`` -- journals disagree on the split's ``n``;
-    - ``"duplicate-shard"``      -- the same shard index appears twice;
-    - ``"duplicate-worker"``     -- two queue journals claim the same worker
-      id (a journal merged twice, or two hosts misconfigured alike);
-    - ``"duplicate-task"``       -- a task ID is claimed by several shards
-      (identical result rows);
+    - ``"duplicate-worker"``     -- two journals name the same owner (a
+      journal merged twice, or two hosts misconfigured alike);
     - ``"conflicting-result"``   -- one task has *different* result rows
-      across journals (a shard duplicate, or two queue workers that somehow
-      both committed);
-    - ``"foreign-result"``       -- a journal records a task outside its own
-      shard slice (shard mode) or outside the grid (queue mode);
-    - ``"missing-shard"``        -- a shard index of the split has no journal
-      (degradable via ``allow_incomplete``);
-    - ``"incomplete-coverage"``  -- shard slices do not add up to the full
-      grid (degradable via ``allow_incomplete``);
-    - ``"missing-result"``       -- a covered task holds no final result --
-      killed mid-sweep, a torn trailing line, or (queue mode) a task no
-      worker completed (degradable via ``allow_incomplete``);
+      across journals (identical duplicates are deduplicated);
+    - ``"foreign-result"``       -- a journal records a task outside the grid;
+    - ``"missing-result"``       -- a grid task holds no committed result in
+      any journal -- a journal not passed, a host killed mid-sweep, a torn
+      trailing line or an undrained queue (degradable via
+      ``allow_incomplete``);
     - ``"missing-events"``       -- a merged flight record was requested but
       a result carries no event stream.
     """
@@ -127,19 +114,11 @@ MERGE_ERROR_CAUSES = frozenset(
         "no-journals",
         "unreadable-journal",
         "missing-header",
-        "mixed-schedule",
-        "missing-shard-metadata",
-        "missing-queue-metadata",
         "sha-mismatch",
         "grid-tasks-mismatch",
-        "shard-count-mismatch",
-        "duplicate-shard",
         "duplicate-worker",
-        "duplicate-task",
         "conflicting-result",
         "foreign-result",
-        "missing-shard",
-        "incomplete-coverage",
         "missing-result",
         "missing-events",
     }

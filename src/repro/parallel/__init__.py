@@ -3,19 +3,21 @@
 Reproducing a paper table is a grid of independent pipeline runs; this
 package fans such grids out with deterministic output (worker count and
 scheduling never change numbers), JSONL checkpoint/resume and structured
-failure handling.  Three layers:
+failure handling.  Two ways to run a grid, one journal model:
 
-- **One host**: :func:`run_sweep` shards the grid across a process pool.
-- **Many hosts, static**: `ShardSpec`/`run_sweep(shard=...)` partition the
-  grid into contiguous slices, one journal per shard.
-- **Many hosts, dynamic**: :func:`init_queue`/:func:`run_queue` expose the
-  grid as a filesystem-backed work-stealing queue for heterogeneous hosts
-  (:mod:`repro.parallel.scheduler`).
+- **Pool runner**: :func:`run_sweep` runs the grid -- or one contiguous
+  ``ShardSpec`` slice of it, for hosts with no shared filesystem -- over a
+  local process pool.
+- **Work-stealing queue**: :func:`init_queue`/:func:`run_queue` expose the
+  grid as a filesystem-backed queue that heterogeneous hosts claim from
+  dynamically (:mod:`repro.parallel.scheduler`).
 
-Either multi-host mode ends with :func:`merge_journals`, which reassembles
-the per-host journals into the byte-identical unsharded result.  See
-``README.md`` ("Running a multi-host sweep") and the DESIGN.md
-"Distributed sweeps" chapter.
+Both write the same journal: a header pinning the full grid and the
+journal's owner (a queue worker, or ``shard-<i>-of-<n>``), then the results
+that owner committed.  :func:`merge_journals` reassembles any set of such
+journals into the byte-identical unsharded result.  See ``README.md``
+("Running a multi-host sweep") and the DESIGN.md "Distributed sweeps"
+chapter.
 """
 
 from repro.parallel.grid import (
@@ -26,16 +28,10 @@ from repro.parallel.grid import (
     grid_sha_of,
     task_ids_of,
 )
-from repro.parallel.journal import (
-    JOURNAL_SCHEMA,
-    SCHEDULE_QUEUE,
-    SCHEDULE_SHARD,
-    JournalState,
-    SweepJournal,
-)
+from repro.parallel.journal import JOURNAL_SCHEMA, JournalState, SweepJournal
 from repro.parallel.merge import (
+    JournalView,
     MergeResult,
-    ShardView,
     merge_journals,
     merged_events,
     merged_metrics,
@@ -58,14 +54,12 @@ from repro.parallel.worker import execute_task, initialize_worker, reset_worker_
 __all__ = [
     "JOURNAL_SCHEMA",
     "JournalState",
+    "JournalView",
     "MergeResult",
     "QueueManifest",
     "QueueRunResult",
     "QueueStatus",
-    "SCHEDULE_QUEUE",
-    "SCHEDULE_SHARD",
     "ShardSpec",
-    "ShardView",
     "SweepGrid",
     "SweepJournal",
     "SweepResult",

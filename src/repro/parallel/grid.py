@@ -8,8 +8,8 @@ plain JSON-able data, so they can be pickled to pool workers and journaled
 to disk verbatim.
 
 The expanded order is the **canonical grid order**: result rows, journal
-coverage, telemetry merges and the content SHA (:func:`grid_sha_of`) all
-follow it.  Both multi-host modes partition exactly this order --
+headers, telemetry merges and the content SHA (:func:`grid_sha_of`) all
+follow it.  Both multi-host modes split exactly this order --
 :class:`ShardSpec` statically into contiguous slices, and the work-stealing
 queue (:mod:`repro.parallel.scheduler`) dynamically task by task -- which
 is why ``repro merge`` can always reassemble the byte-identical unsharded
@@ -124,17 +124,6 @@ class SweepGrid:
         """Content hash of the expanded grid (guards journal/grid mismatch)."""
         return grid_sha_of(self.expand())
 
-    def shard(self, index: int, count: int) -> List[SweepTask]:
-        """The ``index``-th of ``count`` contiguous slices of :meth:`expand`.
-
-        Shards partition the canonical grid order: they are disjoint,
-        jointly exhaustive, and concatenating them in index order
-        reproduces :meth:`expand` exactly.  This is what lets ``count``
-        hosts each run one shard and ``repro merge`` reassemble the full
-        sweep byte-for-byte.
-        """
-        return list(ShardSpec(index, count).slice(self.expand()))
-
 
 @dataclasses.dataclass(frozen=True)
 class ShardSpec:
@@ -142,8 +131,9 @@ class ShardSpec:
 
     The partition is contiguous over the canonical grid order (the first
     ``total % count`` shards get one extra task), so every shard's tasks
-    are consecutive in :meth:`SweepGrid.expand` order and the merged grid
-    is just the shards concatenated by index.
+    are consecutive in :meth:`SweepGrid.expand` order.  A shard's sweep is
+    a worker (:attr:`owner`) whose claims were fixed upfront; ``repro
+    merge`` treats its journal like any queue worker's.
     """
 
     index: int
@@ -190,6 +180,11 @@ class ShardSpec:
         """This shard's tasks (possibly empty when ``count > len(tasks)``)."""
         start, end = self.bounds(len(tasks))
         return tuple(tasks[start:end])
+
+    @property
+    def owner(self) -> str:
+        """The journal owner (``worker``) of a sweep that runs this shard."""
+        return f"shard-{self.index}-of-{self.count}"
 
     def __str__(self) -> str:
         return f"{self.index}/{self.count}"

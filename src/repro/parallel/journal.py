@@ -3,9 +3,9 @@
 One line per event, appended and flushed as tasks finish, so a sweep killed
 at any point leaves a journal whose intact prefix is a valid checkpoint:
 
-- ``{"kind": "header", ...}``   -- grid identity (``grid_sha`` over the
-  *full* canonical grid + ``total_tasks``) plus this journal's ownership
-  mode, once (see below);
+- ``{"kind": "header", ...}``   -- once: the *full* grid's identity
+  (``grid_sha``, ``total_tasks`` and the canonical ``grid_task_ids``) and
+  the journal's owner ``worker`` (:meth:`SweepJournal.append_header`);
 - ``{"kind": "result", ...}``   -- one per finished task (``ok``,
   ``failed``, or ``superseded`` when a queue worker lost the commit race),
   carrying the row and -- when captured -- the task's metrics, span tree
@@ -13,16 +13,12 @@ at any point leaves a journal whose intact prefix is a valid checkpoint:
   ``repro merge`` needs to reassemble the sweep;
 - ``{"kind": "resume", ...}``   -- appended each time a sweep resumes.
 
-Two header modes declare who owns which tasks (``schedule`` field):
-
-- ``schedule="shard"`` (the default; absent in pre-queue journals): the
-  journal covers one *static* contiguous slice of the canonical grid order,
-  pinned upfront as ``shard_index``/``shard_count``/``shard_task_ids``;
-- ``schedule="queue"``: the journal belongs to one ``worker`` of a
-  queue-scheduled sweep (:mod:`repro.parallel.scheduler`).  Ownership is
-  *dynamic* -- whichever tasks this worker claimed and committed -- so the
-  header pins the full grid's ``grid_task_ids`` instead of a slice, and the
-  result records themselves define ownership.
+Every journal has the same header, whoever wrote it.  A journal *owns the
+tasks it committed*: a queue worker (:mod:`repro.parallel.scheduler`) owns
+whatever it claimed, and a ``run_sweep`` shard is a worker named
+``shard-<i>-of-<n>`` whose claims were one fixed contiguous slice (an
+unsharded run is ``shard-0-of-1``).  A header of another schema (the
+schema-1 headers of earlier versions) is rejected, not translated.
 
 Loading tolerates a torn trailing line (the kill case) and skips malformed
 interior lines rather than aborting, because losing one checkpoint entry
@@ -36,17 +32,15 @@ from __future__ import annotations
 import dataclasses
 import json
 from pathlib import Path
-from typing import Dict, IO, List, Optional, Union
+from typing import Dict, IO, List, Optional, Sequence, Union
 
 from repro.errors import SweepError
 from repro.log import get_logger
 
-JOURNAL_SCHEMA = 1
+JOURNAL_SCHEMA = 2
 
-#: Header ``schedule`` values: static contiguous slices vs the work-stealing
-#: queue of :mod:`repro.parallel.scheduler`.
-SCHEDULE_SHARD = "shard"
-SCHEDULE_QUEUE = "queue"
+#: Header fields every journal carries besides ``kind`` and ``schema``.
+HEADER_FIELDS = ("grid_sha", "total_tasks", "grid_task_ids", "worker")
 
 log = get_logger(__name__)
 
@@ -64,7 +58,7 @@ def build_result_record(
     **extra: object,
 ) -> Dict[str, object]:
     """One ``result`` journal line, shared by the pool runner and the queue
-    scheduler so both schedule modes journal byte-compatible records.
+    scheduler so both journal byte-compatible records.
 
     Successful records carry the row plus any captured telemetry (metrics,
     span tree, flight-recorder events) -- the journal is a task's *complete*
@@ -91,6 +85,40 @@ def build_result_record(
     elif status == "failed" or error is not None:
         record["error"] = error
     return record
+
+
+def header_problem(header: Dict[str, object]) -> Optional[str]:
+    """Why ``header`` is not a current journal header (``None`` if it is)."""
+    absent = [name for name in HEADER_FIELDS if name not in header]
+    if header.get("schema") == JOURNAL_SCHEMA and not absent:
+        return None
+    return (
+        f"not a schema-{JOURNAL_SCHEMA} journal header "
+        f"(schema {header.get('schema')!r}, lacks {absent})"
+    )
+
+
+def check_owner(
+    header: Dict[str, object], path: object, grid_sha: str, worker: str
+) -> None:
+    """Refuse to append to a journal of another schema, grid or owner.
+
+    Runs on every reopen -- resume or not -- so a mismatched journal fails
+    here instead of surfacing later at merge time.
+    """
+    problem = header_problem(header)
+    if problem is not None:
+        raise SweepError(f"journal {str(path)!r} is {problem}; start a new journal")
+    if header["grid_sha"] != grid_sha:
+        raise SweepError(
+            f"journal {str(path)!r} was written for a different grid "
+            f"(journal sha {header['grid_sha']!r} != run sha {grid_sha!r})"
+        )
+    if header["worker"] != worker:
+        raise SweepError(
+            f"journal {str(path)!r} belongs to worker {header['worker']!r}, "
+            f"not {worker!r}"
+        )
 
 
 @dataclasses.dataclass
@@ -156,13 +184,19 @@ class SweepJournal:
         self._handle.write(json.dumps(record, sort_keys=True) + "\n")
         self._handle.flush()
 
-    def append_header(self, grid_sha: str, total_tasks: int, **extra: object) -> None:
+    def append_header(
+        self, grid_sha: str, grid_task_ids: Sequence[str], worker: str, **extra: object
+    ) -> None:
+        """Write the one header every journal carries: the full grid and
+        the journal's owner (a queue worker id or ``shard-<i>-of-<n>``)."""
         self.append(
             {
                 "kind": "header",
                 "schema": JOURNAL_SCHEMA,
                 "grid_sha": grid_sha,
-                "total_tasks": total_tasks,
+                "total_tasks": len(grid_task_ids),
+                "grid_task_ids": list(grid_task_ids),
+                "worker": worker,
                 **extra,
             }
         )

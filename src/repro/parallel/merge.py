@@ -1,35 +1,36 @@
 """Reassemble per-host sweep journals into one sweep: ``repro merge``.
 
-A distributed sweep leaves one journal per host, pinned to the *full*
-grid's content SHA, in one of two ownership modes (the header's
-``schedule`` field, see :mod:`repro.parallel.journal`):
+A distributed sweep leaves one journal per host, and every journal has the
+same header (:mod:`repro.parallel.journal`): the *full* grid's SHA and
+canonical task ids, plus the journal's owner ``worker``.  A journal owns
+the tasks it committed -- a ``--shard i/n`` journal (owner
+``shard-<i>-of-<n>``) owns its fixed contiguous slice, a queue worker's
+(:mod:`repro.parallel.scheduler`) whatever it claimed.  So any mix of
+shard, queue and unsharded journals of one grid merges through one
+validation:
 
-- ``schedule="shard"``: each journal covers one *static* contiguous slice
-  of the canonical grid order (:meth:`repro.parallel.grid.SweepGrid.shard`).
-  Validation demands the slices be disjoint and jointly exhaustive, with
-  one result per covered task.
-- ``schedule="queue"``: each journal belongs to one worker of a
-  work-stealing queue (:mod:`repro.parallel.scheduler`); ownership is
-  whatever that worker claimed and committed.  Validation demands every
-  journal pin the same grid, drops ``superseded`` tombstones, tolerates
-  *identical* duplicate results (two workers raced, values agree -- the
-  deterministically chosen winner is kept) and rejects conflicting ones.
+- every journal pins the same grid (SHA *and* task-id list);
+- one journal per owner;
+- no result outside the grid;
+- ``superseded`` tombstones are dropped; duplicate results are kept only
+  when their rows are identical (steal races and overlapping journals
+  produce them), with a deterministic winner, and rejected otherwise;
+- every grid task holds a result.
 
-Either way the merge reassembles the grid-ordered rows, the merged
-telemetry snapshot and the merged flight-recorder event stream.  The
-determinism contract is the headline guarantee: scheduling may change
-*who* computes a row, never its value -- for any shard count, worker
-count, steal or crash, the merge is byte-identical to the equivalent
-unsharded :func:`repro.parallel.runner.run_sweep`.
+The merge then rebuilds the grid-ordered rows, the merged telemetry
+snapshot and the merged flight-recorder event stream.  The determinism
+contract is the headline guarantee: scheduling may change *who* computes a
+row, never its value -- for any shard count, worker count, steal or crash,
+the merge is byte-identical to the equivalent unsharded
+:func:`repro.parallel.runner.run_sweep`.
 
-Every malformed-journal scenario (truncated journal, missing shard,
-duplicated task ID, mismatched grid SHA, ...) fails with a structured
-:class:`repro.errors.MergeError` naming the offending journals/tasks
-(all causes: :data:`repro.errors.MERGE_ERROR_CAUSES`).
-``allow_incomplete=True`` degrades only the *coverage* failures
-(missing shard, missing result) into a grid-ordered partial merge with
-the gaps reported; trust failures (SHA mismatch, duplicates, conflicts)
-are never degradable.
+Every malformed-journal scenario (truncated journal, schema-1 header,
+duplicated owner, mismatched grid SHA, ...) fails with a structured
+:class:`repro.errors.MergeError` naming the offending journals/tasks (all
+causes: :data:`repro.errors.MERGE_ERROR_CAUSES`).  ``allow_incomplete=True``
+degrades only ``missing-result`` into a grid-ordered partial merge with the
+gaps reported; trust failures (SHA mismatch, duplicates, conflicts) are
+never degradable.
 """
 
 from __future__ import annotations
@@ -37,20 +38,17 @@ from __future__ import annotations
 import dataclasses
 import json
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Sequence, Tuple, Union
 
 from repro.errors import MergeError
 from repro.log import get_logger
-from repro.parallel.journal import SCHEDULE_QUEUE, SCHEDULE_SHARD, SweepJournal
+from repro.parallel.journal import HEADER_FIELDS, SweepJournal, header_problem
 from repro.telemetry.events import EventRecorder, write_events_jsonl
 from repro.telemetry.registry import MetricsRegistry
 
 PathLike = Union[str, Path]
 
 log = get_logger(__name__)
-
-_SHARD_HEADER_FIELDS = ("shard_index", "shard_count", "shard_task_ids")
-_QUEUE_HEADER_FIELDS = ("worker", "grid_task_ids")
 
 
 def _preview(items: Sequence[str], limit: int = 5) -> str:
@@ -60,14 +58,12 @@ def _preview(items: Sequence[str], limit: int = 5) -> str:
 
 
 @dataclasses.dataclass
-class ShardView:
+class JournalView:
     """Parsed view of one per-host journal (header + final per-task records).
 
-    Despite the name (it predates queue mode) a view wraps either journal
-    kind; :attr:`schedule` says which.  ``records`` holds each task's
-    *final* journal line -- journal supersession already applied, so a
-    queue worker's retracted results appear here as their ``superseded``
-    tombstones.
+    ``records`` holds each task's *final* journal line -- journal
+    supersession already applied, so a queue worker's retracted results
+    appear here as their ``superseded`` tombstones.
     """
 
     path: str
@@ -76,41 +72,20 @@ class ShardView:
 
     @property
     def grid_sha(self) -> str:
-        return str(self.header.get("grid_sha"))
-
-    @property
-    def schedule(self) -> str:
-        """Ownership mode; headers predating queue mode are shard journals."""
-        return str(self.header.get("schedule", SCHEDULE_SHARD))
+        return str(self.header["grid_sha"])
 
     @property
     def worker(self) -> str:
-        """Queue mode only: the worker this journal belongs to."""
-        return str(self.header.get("worker", ""))
-
-    @property
-    def shard_index(self) -> int:
-        return int(self.header["shard_index"])  # type: ignore[arg-type]
-
-    @property
-    def shard_count(self) -> int:
-        return int(self.header["shard_count"])  # type: ignore[arg-type]
+        """The journal's owner: a queue worker id or ``shard-<i>-of-<n>``."""
+        return str(self.header["worker"])
 
     @property
     def total_tasks(self) -> int:
-        return int(self.header.get("total_tasks", 0))  # type: ignore[arg-type]
-
-    @property
-    def task_ids(self) -> List[str]:
-        """Tasks this journal *owns*: the static slice (shard mode) or the
-        dynamically committed set in grid order (queue mode)."""
-        if self.schedule == SCHEDULE_QUEUE:
-            return [tid for tid in self.grid_task_ids if tid in self.committed]
-        return [str(tid) for tid in self.header["shard_task_ids"]]  # type: ignore[union-attr]
+        return int(self.header["total_tasks"])  # type: ignore[arg-type]
 
     @property
     def grid_task_ids(self) -> List[str]:
-        """Queue mode only: the full grid's task ids in canonical order."""
+        """The full grid's task ids in canonical order."""
         return [str(tid) for tid in self.header["grid_task_ids"]]  # type: ignore[union-attr]
 
     @property
@@ -127,24 +102,18 @@ class ShardView:
 class MergeResult:
     """A validated, grid-ordered reassembly of per-host journals.
 
-    ``task_ids`` lists the covered tasks in canonical grid order (shard
-    mode: shards concatenated by index; queue mode: the full grid);
-    ``records`` holds each covered task's final journal record.
-    ``missing_task_ids``/``missing_shards`` report the gaps an
-    ``allow_incomplete`` merge tolerated.
+    ``task_ids`` is the full grid in canonical order; ``records`` holds the
+    winning final record of every task some journal committed.
+    ``missing_task_ids`` reports the gaps an ``allow_incomplete`` merge
+    tolerated.
     """
 
     grid_sha: str
     total_tasks: int
-    shards: List[ShardView]
+    journals: List[JournalView]
     task_ids: List[str]
     records: Dict[str, Dict[str, object]]
     missing_task_ids: List[str]
-    missing_shards: List[int]
-    schedule: str = SCHEDULE_SHARD
-    #: Tasks the merged journals jointly cover; defaults to the sum of the
-    #: shard slices (shard mode) when left unset.
-    covered_tasks: Optional[int] = None
 
     @property
     def rows(self) -> List[Dict[str, object]]:
@@ -166,23 +135,18 @@ class MergeResult:
 
     @property
     def missing_count(self) -> int:
-        """Tasks of the full grid with no result: torn/absent + whole shards."""
-        covered = (
-            self.covered_tasks
-            if self.covered_tasks is not None
-            else sum(len(shard.task_ids) for shard in self.shards)
-        )
-        return len(self.missing_task_ids) + (self.total_tasks - covered)
+        """Tasks of the full grid with no result."""
+        return len(self.missing_task_ids)
 
     @property
     def workers(self) -> List[str]:
-        """Queue mode: sorted worker ids the merge drew results from."""
-        return sorted({shard.worker for shard in self.shards if shard.worker})
+        """Sorted owners of the journals the merge drew results from."""
+        return [view.worker for view in self.journals]
 
     @property
     def seeds(self) -> List[int]:
-        """Sorted distinct seeds of the covered tasks (from their task IDs)."""
-        return sorted({int(tid.rsplit("seed=", 1)[1]) for tid in self.task_ids})
+        """Sorted distinct seeds of the merged tasks (from their task IDs)."""
+        return sorted({int(tid.rsplit("seed=", 1)[1]) for tid in self.records})
 
 
 def merge_journals(
@@ -190,214 +154,34 @@ def merge_journals(
 ) -> MergeResult:
     """Validate and reassemble per-host journals; see the module docstring.
 
-    Dispatches on the journals' ``schedule`` header: all-shard journals go
-    through the static-slice validation, all-queue journals through the
-    dynamic-ownership validation.  Mixing the two modes in one call is a
-    ``mixed-schedule`` error -- they describe different runs.
+    Duplicate results are kept only when their rows are identical; the
+    winner is chosen deterministically (``ok`` over ``failed``, then the
+    lowest owner id), so the merge is independent of argument order.
     """
     if not paths:
         raise MergeError("no-journals", "no journals to merge")
 
-    views: List[ShardView] = []
+    views: List[JournalView] = []
     for path in paths:
-        journal_path = Path(path)
-        if not journal_path.exists():
+        if not Path(path).exists():
             raise MergeError(
                 "unreadable-journal", f"{path}: no such journal", path=str(path)
             )
-        state = SweepJournal.load(journal_path)
-        if state.header is None:
+        state = SweepJournal.load(path)
+        header = state.header or {}
+        problem = (
+            "has no intact header line" if state.header is None
+            else header_problem(header)
+        )
+        if problem is not None:
             raise MergeError(
                 "missing-header",
-                f"{path}: journal has no intact header line",
+                f"{path}: journal {problem}",
                 path=str(path),
+                schema=header.get("schema"),
+                fields=[name for name in HEADER_FIELDS if name not in header],
             )
-        views.append(ShardView(path=str(path), header=state.header, records=state.records))
-
-    schedules = {view.schedule for view in views}
-    if len(schedules) > 1:
-        raise MergeError(
-            "mixed-schedule",
-            "cannot merge shard-mode and queue-mode journals together: "
-            + ", ".join(f"{view.path}={view.schedule}" for view in views),
-            schedules={view.path: view.schedule for view in views},
-        )
-    if schedules == {SCHEDULE_QUEUE}:
-        return _merge_queue(views, allow_incomplete)
-    return _merge_shards(views, allow_incomplete)
-
-
-def _merge_shards(shards: List[ShardView], allow_incomplete: bool) -> MergeResult:
-    """Static mode: disjoint, jointly exhaustive contiguous slices."""
-    for shard in shards:
-        absent = [field for field in _SHARD_HEADER_FIELDS if field not in shard.header]
-        if absent:
-            raise MergeError(
-                "missing-shard-metadata",
-                f"{shard.path}: header lacks {absent} (journal predates sharding?)",
-                path=shard.path,
-                fields=absent,
-            )
-
-    shas = {shard.grid_sha for shard in shards}
-    if len(shas) > 1:
-        raise MergeError(
-            "sha-mismatch",
-            "journals were written for different grids: "
-            + ", ".join(f"{shard.path} sha={shard.grid_sha}" for shard in shards),
-            shas={shard.path: shard.grid_sha for shard in shards},
-        )
-    sha = shards[0].grid_sha
-    total = shards[0].total_tasks
-
-    counts = {shard.shard_count for shard in shards}
-    if len(counts) > 1:
-        raise MergeError(
-            "shard-count-mismatch",
-            "journals disagree on the split: "
-            + ", ".join(f"{shard.path}={shard.shard_index}/{shard.shard_count}"
-                        for shard in shards),
-            counts={shard.path: shard.shard_count for shard in shards},
-        )
-    count = shards[0].shard_count
-
-    by_index: Dict[int, ShardView] = {}
-    for shard in shards:
-        if not 0 <= shard.shard_index < count:
-            raise MergeError(
-                "shard-count-mismatch",
-                f"{shard.path}: shard index {shard.shard_index} out of range "
-                f"for a {count}-way split",
-                path=shard.path,
-                index=shard.shard_index,
-            )
-        if shard.shard_index in by_index:
-            raise MergeError(
-                "duplicate-shard",
-                f"shard {shard.shard_index}/{count} appears in both "
-                f"{by_index[shard.shard_index].path} and {shard.path}",
-                index=shard.shard_index,
-            )
-        by_index[shard.shard_index] = shard
-
-    claims: Dict[str, List[ShardView]] = {}
-    for shard in shards:
-        for tid in shard.task_ids:
-            claims.setdefault(tid, []).append(shard)
-    duplicated = {tid: owners for tid, owners in claims.items() if len(owners) > 1}
-    if duplicated:
-        conflicting = sorted(
-            tid
-            for tid, owners in duplicated.items()
-            if len({
-                json.dumps(owner.records.get(tid, {}).get("row"), sort_keys=True)
-                for owner in owners
-            }) > 1
-        )
-        if conflicting:
-            raise MergeError(
-                "conflicting-result",
-                f"{len(conflicting)} task(s) have conflicting results across "
-                f"journals: {_preview(conflicting)}",
-                task_ids=conflicting,
-            )
-        duplicates = sorted(duplicated)
-        raise MergeError(
-            "duplicate-task",
-            f"{len(duplicates)} task(s) are claimed by more than one shard: "
-            f"{_preview(duplicates)}",
-            task_ids=duplicates,
-        )
-
-    for shard in shards:
-        foreign = sorted(set(shard.records) - set(shard.task_ids))
-        if foreign:
-            raise MergeError(
-                "foreign-result",
-                f"{shard.path} records task(s) outside its shard slice: "
-                f"{_preview(foreign)}",
-                path=shard.path,
-                task_ids=foreign,
-            )
-
-    missing_shards = sorted(set(range(count)) - set(by_index))
-    if missing_shards:
-        if not allow_incomplete:
-            raise MergeError(
-                "missing-shard",
-                f"no journal for shard index(es) {missing_shards} of a "
-                f"{count}-way split; pass --allow-incomplete for a partial merge",
-                shard_indices=missing_shards,
-                shard_count=count,
-            )
-        log.warning(
-            "merging without shard(s) %s of %d: result will be partial",
-            missing_shards, count,
-        )
-
-    ordered = [by_index[index] for index in sorted(by_index)]
-    task_ids = [tid for shard in ordered for tid in shard.task_ids]
-    if not missing_shards and len(task_ids) != total:
-        if not allow_incomplete:
-            raise MergeError(
-                "incomplete-coverage",
-                f"shard slices cover {len(task_ids)} of {total} grid task(s)",
-                covered=len(task_ids),
-                total_tasks=total,
-            )
-        log.warning(
-            "shard slices cover only %d of %d grid task(s)", len(task_ids), total
-        )
-
-    missing_task_ids = [
-        tid for shard in ordered for tid in shard.task_ids
-        if tid not in shard.records
-    ]
-    if missing_task_ids and not allow_incomplete:
-        raise MergeError(
-            "missing-result",
-            f"{len(missing_task_ids)} covered task(s) have no journaled result "
-            f"(shard killed mid-sweep or torn lines?): {_preview(missing_task_ids)}",
-            task_ids=missing_task_ids,
-        )
-
-    records = {
-        tid: shard.records[tid]
-        for shard in ordered
-        for tid in shard.task_ids
-        if tid in shard.records
-    }
-    return MergeResult(
-        grid_sha=sha,
-        total_tasks=total,
-        shards=ordered,
-        task_ids=task_ids,
-        records=records,
-        missing_task_ids=missing_task_ids,
-        missing_shards=missing_shards,
-    )
-
-
-def _merge_queue(views: List[ShardView], allow_incomplete: bool) -> MergeResult:
-    """Dynamic mode: per-worker journals of one work-stealing queue.
-
-    Ownership is whatever each worker committed, so instead of slice
-    arithmetic the validation is: same grid (SHA *and* task-id list), one
-    journal per worker, no results outside the grid, and -- because steal
-    races can legitimately double-run a task -- duplicate results are kept
-    only when their rows are identical (winner chosen deterministically by
-    ``ok``-over-``failed`` status, then lowest worker id, so the merge is
-    independent of journal argument order).
-    """
-    for view in views:
-        absent = [field for field in _QUEUE_HEADER_FIELDS if field not in view.header]
-        if absent:
-            raise MergeError(
-                "missing-queue-metadata",
-                f"{view.path}: queue-mode header lacks {absent}",
-                path=view.path,
-                fields=absent,
-            )
+        views.append(JournalView(path=str(path), header=header, records=state.records))
 
     shas = {view.grid_sha for view in views}
     if len(shas) > 1:
@@ -407,19 +191,6 @@ def _merge_queue(views: List[ShardView], allow_incomplete: bool) -> MergeResult:
             + ", ".join(f"{view.path} sha={view.grid_sha}" for view in views),
             shas={view.path: view.grid_sha for view in views},
         )
-    sha = views[0].grid_sha
-
-    by_worker: Dict[str, ShardView] = {}
-    for view in views:
-        if view.worker in by_worker:
-            raise MergeError(
-                "duplicate-worker",
-                f"worker {view.worker!r} appears in both "
-                f"{by_worker[view.worker].path} and {view.path} "
-                "(journal passed twice, or two hosts share a worker id?)",
-                worker=view.worker,
-            )
-        by_worker[view.worker] = view
 
     grid_ids = views[0].grid_task_ids
     for view in views:
@@ -431,6 +202,18 @@ def _merge_queue(views: List[ShardView], allow_incomplete: bool) -> MergeResult:
                 "header?)",
                 path=view.path,
             )
+
+    by_worker: Dict[str, JournalView] = {}
+    for view in views:
+        if view.worker in by_worker:
+            raise MergeError(
+                "duplicate-worker",
+                f"owner {view.worker!r} appears in both "
+                f"{by_worker[view.worker].path} and {view.path} "
+                "(journal passed twice, or two hosts share a worker id?)",
+                worker=view.worker,
+            )
+        by_worker[view.worker] = view
 
     grid_id_set = set(grid_ids)
     for view in views:
@@ -449,52 +232,45 @@ def _merge_queue(views: List[ShardView], allow_incomplete: bool) -> MergeResult:
     missing_task_ids: List[str] = []
     conflicting: List[str] = []
     for tid in grid_ids:
-        candidates = [
-            (view.worker, view.committed[tid])
-            for view in ordered
-            if tid in view.committed
-        ]
+        candidates = [view.committed[tid] for view in ordered if tid in view.committed]
         if not candidates:
             missing_task_ids.append(tid)
             continue
-        ok = [(worker, rec) for worker, rec in candidates if rec.get("status") == "ok"]
-        pool = ok or candidates
-        rows = {json.dumps(rec.get("row"), sort_keys=True) for _, rec in pool}
-        if len(rows) > 1:
+        pool = [rec for rec in candidates if rec.get("status") == "ok"] or candidates
+        if len({json.dumps(rec.get("row"), sort_keys=True) for rec in pool}) > 1:
             conflicting.append(tid)
             continue
-        # Deterministic winner: candidates are already in sorted-worker
-        # order, so the first is the lowest worker id with the best status.
-        records[tid] = pool[0][1]
+        # Deterministic winner: candidates are already in sorted-owner
+        # order, so the first is the lowest owner id with the best status.
+        records[tid] = pool[0]
     if conflicting:
         raise MergeError(
             "conflicting-result",
             f"{len(conflicting)} task(s) have conflicting results across "
-            f"worker journals: {_preview(conflicting)}",
+            f"journals: {_preview(conflicting)}",
             task_ids=conflicting,
         )
-    if missing_task_ids and not allow_incomplete:
-        raise MergeError(
-            "missing-result",
-            f"{len(missing_task_ids)} grid task(s) have no committed result "
-            f"(queue not drained, or workers killed?): {_preview(missing_task_ids)}",
-            task_ids=missing_task_ids,
-        )
     if missing_task_ids:
+        if not allow_incomplete:
+            raise MergeError(
+                "missing-result",
+                f"{len(missing_task_ids)} grid task(s) have no committed result "
+                "(a journal not passed, a queue not drained, or a host killed "
+                f"mid-sweep?): {_preview(missing_task_ids)}; pass "
+                "--allow-incomplete for a partial merge",
+                task_ids=missing_task_ids,
+            )
         log.warning(
-            "merging a partially drained queue: %d of %d task(s) missing",
+            "partial merge: %d of %d grid task(s) missing",
             len(missing_task_ids), len(grid_ids),
         )
     return MergeResult(
-        grid_sha=sha,
+        grid_sha=views[0].grid_sha,
         total_tasks=len(grid_ids),
-        shards=ordered,
+        journals=ordered,
         task_ids=list(grid_ids),
         records=records,
         missing_task_ids=missing_task_ids,
-        missing_shards=[],
-        schedule=SCHEDULE_QUEUE,
-        covered_tasks=len(grid_ids),
     )
 
 
@@ -583,25 +359,18 @@ def merged_metrics(result: MergeResult) -> Dict[str, object]:
 def write_merged_journal(result: MergeResult, path: PathLike) -> Path:
     """Write the reassembled journal: one header, grid-ordered records.
 
-    The merged journal is itself a valid (single-shard) sweep journal --
+    The merged journal is itself a valid journal, owned by ``merged`` --
     ``repro report`` renders it and ``repro merge`` accepts it again, where
-    an incomplete merge honestly re-reports its gaps.  This holds for queue
-    merges too: the dynamic ownership is resolved here, so the output is
-    always a plain ``schedule=shard`` journal.  ``merged_from`` records how
-    many per-host journals it was assembled from.
+    an incomplete merge honestly re-reports its gaps.  ``merged_from``
+    records how many per-host journals it was assembled from.
     """
     path = Path(path)
     if path.exists():
         path.unlink()
     with SweepJournal(path) as journal:
         journal.append_header(
-            grid_sha=result.grid_sha,
-            total_tasks=result.total_tasks,
-            schedule=SCHEDULE_SHARD,
-            shard_index=0,
-            shard_count=1,
-            shard_task_ids=result.task_ids,
-            merged_from=len(result.shards),
+            result.grid_sha, result.task_ids, "merged",
+            merged_from=len(result.journals),
         )
         for tid in result.task_ids:
             record = result.records.get(tid)
@@ -611,8 +380,8 @@ def write_merged_journal(result: MergeResult, path: PathLike) -> Path:
 
 
 __all__ = [
+    "JournalView",
     "MergeResult",
-    "ShardView",
     "merge_journals",
     "merged_events",
     "merged_metrics",

@@ -16,13 +16,13 @@ across ``ProcessPoolExecutor`` workers.  Three guarantees:
   charged attempts, and the sweep finishes with a structured failure record
   instead of crashing.
 
-Multi-host scale-out layers on top of the same guarantees, in two modes.
-``shard=(i, n)`` runs one *static* contiguous slice of the canonical grid
-order against its own journal (header pinned to the *full* grid's SHA);
-:mod:`repro.parallel.scheduler` instead lets heterogeneous hosts claim
-tasks *dynamically* from a filesystem-backed work-stealing queue, each
-appending to its own ``schedule=queue`` journal.  Either way,
-:mod:`repro.parallel.merge` reassembles the journals into the
+Multi-host scale-out layers on top of the same guarantees.  ``shard=(i, n)``
+runs one contiguous slice of the canonical grid order as the worker
+``shard-<i>-of-<n>``; :mod:`repro.parallel.scheduler` instead lets
+heterogeneous hosts claim tasks dynamically from a filesystem-backed
+work-stealing queue.  Both write the same journal (header pinned to the
+*full* grid, see :mod:`repro.parallel.journal`), and
+:mod:`repro.parallel.merge` reassembles any set of them into the
 byte-identical unsharded result.
 """
 
@@ -50,9 +50,10 @@ from repro.parallel.grid import (
     SweepTask,
     ensure_unique,
     grid_sha_of,
+    task_ids_of,
 )
-from repro.parallel.journal import SCHEDULE_SHARD, SweepJournal, build_result_record
-from repro.telemetry.live import BEACON_SUFFIX, BeaconWriter
+from repro.parallel.journal import SweepJournal, build_result_record, check_owner
+from repro.telemetry.live import BEACON_SUFFIX, TIMELINE_SUFFIX, BeaconWriter
 from repro.telemetry.spans import SpanRecord
 
 TaskRunner = Callable[[Dict[str, object]], Dict[str, object]]
@@ -79,14 +80,15 @@ class TaskOutcome:
 class SweepResult:
     """Everything a finished sweep (or one shard of it) produced, in grid order.
 
-    ``grid_sha`` and ``total_tasks`` always describe the *full* grid; for a
-    sharded run ``outcomes`` covers only this shard's contiguous slice.
+    ``grid_sha`` and ``total_tasks`` always describe the *full* grid;
+    ``outcomes`` covers only ``shard``'s contiguous slice (all of it for
+    the trivial shard ``0/1``).
     """
 
     outcomes: List[TaskOutcome]
     grid_sha: str
     journal_path: Optional[str] = None
-    shard: Optional[ShardSpec] = None
+    shard: ShardSpec = ShardSpec(0, 1)
     total_tasks: int = 0
 
     @property
@@ -136,24 +138,26 @@ def run_sweep(
 
     ``shard`` restricts the run to one contiguous slice of the canonical
     grid order (a :class:`~repro.parallel.grid.ShardSpec`, an ``'i/n'``
-    string, or an ``(i, n)`` pair): the grid SHA and journal header still
-    describe the *full* grid, so ``count`` hosts each running one shard
-    against their own journal can later be reassembled by
-    :func:`repro.parallel.merge.merge_journals` -- byte-identical to an
-    unsharded run.  Resume/retry semantics are unchanged within a shard.
+    string, or an ``(i, n)`` pair).  The journal's owner is
+    ``shard-<i>-of-<n>`` (``shard-0-of-1`` unsharded) and its header pins
+    the *full* grid, so any set of journals covering the grid can later be
+    reassembled by :func:`repro.parallel.merge.merge_journals` --
+    byte-identical to an unsharded run.  Resume/retry semantics are
+    unchanged within a shard.
 
     ``live_dir`` points a status beacon (:mod:`repro.telemetry.live`) at
     that directory: one ``<worker>.beacon.json`` kept fresh every
-    ``beacon_interval`` seconds for the whole sweep.  Purely a sidecar --
-    rows, journal, metrics and flight record are byte-identical with or
-    without it.
+    ``beacon_interval`` seconds for the whole sweep, with every beacon
+    also appended to ``timeline/<worker>.timeline.jsonl``.  Purely a
+    sidecar -- rows, journal, metrics and flight record are byte-identical
+    with or without it.
     """
     if max_attempts < 1:
         raise SweepError(f"max_attempts must be positive, got {max_attempts}")
     full_tasks = ensure_unique(grid.expand() if isinstance(grid, SweepGrid) else list(grid))
     sha = grid_sha_of(full_tasks)
-    spec = ShardSpec.coerce(shard) if shard is not None else None
-    tasks = list(spec.slice(full_tasks)) if spec is not None else list(full_tasks)
+    spec = ShardSpec.coerce(shard) if shard is not None else ShardSpec(0, 1)
+    tasks = list(spec.slice(full_tasks))
     if capture_telemetry is None:
         capture_telemetry = telemetry.enabled()
     if capture_events is None:
@@ -172,12 +176,13 @@ def run_sweep(
     beacon: Optional[BeaconWriter] = None
     if live_dir is not None:
         beacon_id = f"{socket.gethostname()}-{os.getpid()}"
-        if spec is not None:
+        if shard is not None:
             beacon_id += f"-shard{spec.index}"
         beacon = BeaconWriter(
             Path(live_dir) / f"{beacon_id}{BEACON_SUFFIX}",
             worker=beacon_id,
             interval=beacon_interval,
+            timeline_path=Path(live_dir) / "timeline" / f"{beacon_id}{TIMELINE_SUFFIX}",
         ).start()
 
     def _beacon_progress() -> None:
@@ -193,16 +198,15 @@ def run_sweep(
     try:
         if journal_path is not None:
             journal = _open_journal(
-                journal_path, sha, tasks, len(full_tasks), spec, resume, outcomes
+                journal_path, sha, full_tasks, tasks, spec, resume, outcomes
             )
         elif resume:
             raise SweepError("resume=True requires a journal_path to resume from")
 
         pending = [index for index in range(len(tasks)) if index not in outcomes]
         log.info(
-            "sweep %s%s: %d task(s), %d pending, workers=%d",
-            sha[:12], f" shard {spec}" if spec is not None else "",
-            len(tasks), len(pending), workers,
+            "sweep %s shard %s: %d task(s), %d pending, workers=%d",
+            sha[:12], spec, len(tasks), len(pending), workers,
         )
 
         def finalize(index: int, attempt: int, outcome_dict: Dict[str, object]) -> None:
@@ -272,9 +276,9 @@ def run_sweep(
 def _open_journal(
     journal_path: str,
     sha: str,
+    full_tasks: Sequence[SweepTask],
     tasks: Sequence[SweepTask],
-    total_tasks: int,
-    spec: Optional[ShardSpec],
+    spec: ShardSpec,
     resume: bool,
     outcomes: Dict[int, TaskOutcome],
 ) -> SweepJournal:
@@ -286,37 +290,10 @@ def _open_journal(
             "pass resume=True to continue it or point --journal elsewhere"
         )
     if state.header is not None:
-        # Fail fast on *any* reopen -- resume or not -- whose header
-        # disagrees with this run's grid: a mismatched journal would
-        # otherwise only surface at merge time.
-        if state.header.get("grid_sha") != sha:
-            raise SweepError(
-                f"journal {journal_path!r} was written for a different grid "
-                f"(journal sha {state.header.get('grid_sha')!r} != run sha {sha!r})"
-            )
-        schedule = state.header.get("schedule", SCHEDULE_SHARD)
-        if schedule != SCHEDULE_SHARD:
-            raise SweepError(
-                f"journal {journal_path!r} belongs to a {schedule!r}-scheduled "
-                "sweep; resume it through its queue directory, not --shard"
-            )
-        header_shard = (state.header.get("shard_index"), state.header.get("shard_count"))
-        run_shard = (spec.index, spec.count) if spec is not None else (0, 1)
-        if header_shard[1] is not None and header_shard != run_shard:
-            raise SweepError(
-                f"journal {journal_path!r} was written for shard "
-                f"{header_shard[0]}/{header_shard[1]}, not {run_shard[0]}/{run_shard[1]}"
-            )
+        check_owner(state.header, journal_path, sha, spec.owner)
     journal = SweepJournal(journal_path).open()
     if state.header is None:
-        journal.append_header(
-            grid_sha=sha,
-            total_tasks=total_tasks,
-            schedule=SCHEDULE_SHARD,
-            shard_index=spec.index if spec is not None else 0,
-            shard_count=spec.count if spec is not None else 1,
-            shard_task_ids=[task.task_id for task in tasks],
-        )
+        journal.append_header(sha, task_ids_of(full_tasks), spec.owner)
     if resume:
         completed = state.completed
         for index, task in enumerate(tasks):

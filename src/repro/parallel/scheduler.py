@@ -1,7 +1,7 @@
 """Filesystem-backed work-stealing queue for multi-host sweeps.
 
-Static ``--shard i/n`` slicing (PR 7) gates the whole sweep on its slowest
-host.  This module removes that barrier: the canonical grid becomes a queue
+Static ``--shard i/n`` slicing gates the whole sweep on its slowest host.
+This module removes that barrier: the canonical grid becomes a queue
 of leasable tasks in a shared directory (any POSIX filesystem visible to
 every worker -- NFS, a shared bind mount, or one box running N processes),
 and heterogeneous workers pull tasks at their own pace.
@@ -33,9 +33,10 @@ conflicting ones, so the headline invariant survives every fault mode:
 scheduling may change *who* computes a row, never its value -- merged
 rows, metrics and flight record are byte-identical to the unsharded run.
 
-Each worker appends to its own ``journals/<worker>.journal.jsonl`` with a
-``schedule="queue"`` header (see :mod:`repro.parallel.journal`), which is
-exactly what ``repro merge`` consumes.
+Each worker appends to its own ``journals/<worker>.journal.jsonl``, with the
+same header as every other sweep journal (:mod:`repro.parallel.journal`):
+the full grid plus the worker as owner.  That is exactly what ``repro
+merge`` consumes, alongside any shard journals of the same grid.
 """
 
 from __future__ import annotations
@@ -55,7 +56,6 @@ from repro import telemetry
 from repro.errors import SweepError
 from repro.log import get_logger
 from repro.telemetry import live
-from repro.telemetry.timeline import TimelineSampler
 from repro.parallel import worker
 from repro.parallel.grid import (
     SweepGrid,
@@ -64,11 +64,7 @@ from repro.parallel.grid import (
     grid_sha_of,
     task_ids_of,
 )
-from repro.parallel.journal import (
-    SCHEDULE_QUEUE,
-    SweepJournal,
-    build_result_record,
-)
+from repro.parallel.journal import SweepJournal, build_result_record, check_owner
 from repro.parallel.runner import TaskOutcome, TaskRunner, attempt_with_retries
 
 QUEUE_SCHEMA = 1
@@ -146,7 +142,7 @@ class QueueManifest:
         return self.root / BEACON_DIR / f"{worker_id}{live.BEACON_SUFFIX}"
 
     def timeline_path(self, worker_id: str) -> Path:
-        return self.root / TIMELINE_DIR / f"{worker_id}.timeline.jsonl"
+        return self.root / TIMELINE_DIR / f"{worker_id}{live.TIMELINE_SUFFIX}"
 
     def events_path(self, worker_id: str) -> Path:
         return self.root / EVENTS_DIR / f"{worker_id}.events.jsonl"
@@ -618,15 +614,14 @@ def run_queue(
     wait_for_completion: bool = True,
     poll_seconds: float = 0.2,
     beacon_interval: float = live.DEFAULT_BEACON_INTERVAL,
-    timeline_interval: float = 0.0,
 ) -> QueueRunResult:
     """Work a queue until it drains (or ``max_tasks`` is reached).
 
     The worker loop: claim the next open task in canonical grid order
     (stealing expired leases), execute it through the same
     retry-with-backoff path as :func:`repro.parallel.runner.run_sweep`,
-    append the full result record to this worker's ``schedule=queue``
-    journal, then commit the ``done/`` marker.  Append-before-commit
+    append the full result record to this worker's journal, then commit
+    the ``done/`` marker.  Append-before-commit
     ordering means a crash between the two leaves an uncommitted-but-
     journaled result: harmless, because another worker re-runs the task
     and ``repro merge`` dedups the identical rows.
@@ -644,11 +639,11 @@ def run_queue(
 
     While running, the worker keeps a live status beacon fresh at
     ``<queue>/beacons/<worker>.beacon.json`` every ``beacon_interval``
-    seconds (``0`` disables), and with ``timeline_interval > 0`` also
-    appends counter snapshots to ``<queue>/timeline/<worker>.timeline.jsonl``.
-    Both are sidecar artifacts (:mod:`repro.telemetry.live`): written next
-    to, never into, the journal -- merged rows/metrics/flight records are
-    byte-identical with or without them.
+    seconds (``0`` disables) and appends every beacon to the
+    ``<queue>/timeline/<worker>.timeline.jsonl`` ring.  Both are sidecar
+    artifacts (:mod:`repro.telemetry.live`): written next to, never into,
+    the journal -- merged rows/metrics/flight records are byte-identical
+    with or without them.
     """
     if max_attempts < 1:
         raise SweepError(f"max_attempts must be positive, got {max_attempts}")
@@ -663,22 +658,12 @@ def run_queue(
     journal_path = manifest.journal_path(wid)
     state = SweepJournal.load(journal_path)
     if state.header is not None:
-        if state.header.get("grid_sha") != manifest.grid_sha:
-            raise SweepError(
-                f"journal {journal_path} was written for a different grid than queue "
-                f"{manifest.root}"
-            )
-        if state.header.get("worker") != wid:
-            raise SweepError(
-                f"journal {journal_path} belongs to worker "
-                f"{state.header.get('worker')!r}, not {wid!r}"
-            )
+        check_owner(state.header, journal_path, manifest.grid_sha, wid)
 
     committed: List[Tuple[int, TaskOutcome]] = []
     counters = {"claims": 0, "steals": 0, "lease_expired": 0, "superseded": 0}
 
     beacon: Optional[live.BeaconWriter] = None
-    sampler: Optional[TimelineSampler] = None
     failed_count = 0
 
     def _beacon_counts() -> Dict[str, object]:
@@ -693,25 +678,14 @@ def run_queue(
 
     if beacon_interval and beacon_interval > 0:
         beacon = live.BeaconWriter(
-            manifest.beacon_path(wid), worker=wid, interval=beacon_interval
-        ).start()
-    if timeline_interval and timeline_interval > 0:
-        sampler = TimelineSampler(
-            manifest.timeline_path(wid),
-            interval=timeline_interval,
-            extra_fn=lambda: {"worker": wid, **_beacon_counts()},
+            manifest.beacon_path(wid), worker=wid, interval=beacon_interval,
+            timeline_path=manifest.timeline_path(wid),
         ).start()
 
     journal = SweepJournal(journal_path).open()
     try:
         if state.header is None:
-            journal.append_header(
-                grid_sha=manifest.grid_sha,
-                total_tasks=manifest.total_tasks,
-                schedule=SCHEDULE_QUEUE,
-                worker=wid,
-                grid_task_ids=manifest.task_ids,
-            )
+            journal.append_header(manifest.grid_sha, manifest.task_ids, wid)
         elif state.records:
             journal.append(
                 {"kind": "resume", "grid_sha": manifest.grid_sha, "skipped": len(state.records)}
@@ -820,8 +794,6 @@ def run_queue(
         if beacon is not None:
             beacon.update(**_beacon_counts())
             beacon.stop(phase="done")
-        if sampler is not None:
-            sampler.stop()
     # Grid-ordered, like SweepResult.outcomes -- steals can commit tasks
     # out of claim order.
     outcomes = [outcome for _, outcome in sorted(committed, key=lambda item: item[0])]

@@ -11,10 +11,10 @@ cover, because ``fork`` workers inherit the parent's modules verbatim):
 - :mod:`repro.telemetry`'s module-level registry/tracer/recorder and its
   two enabled flags (metrics and flight-recorder events) -- reset and
   disabled here; each task records into fresh isolated state.
-- :mod:`repro.telemetry.live`'s registry of active beacon writers and
-  timeline samplers -- *discarded* here (no final write): a forked worker
-  inherits the parent's writer objects but not their threads, and must
-  never rewrite the parent's beacon path as its own.
+- :mod:`repro.telemetry.live`'s registry of active beacon writers --
+  *discarded* here (no final write): a forked worker inherits the parent's
+  writer objects but not their threads, and must never rewrite the
+  parent's beacon or timeline ring as its own.
 - :mod:`repro.rowhammer.device_profiles`' custom-profile registry --
   restored to the built-in Table I set.
 - The model-zoo disk cache (:mod:`repro.core.training`) is shared on

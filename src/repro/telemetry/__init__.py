@@ -24,11 +24,11 @@ hammer achieved).  Enable it with :func:`enable_events` or
 ``repro report``, and visualize alongside the span tree via
 :mod:`repro.telemetry.trace` (Chrome trace / Perfetto).
 
-**Live observability** (:mod:`repro.telemetry.live`,
-:mod:`repro.telemetry.timeline`) is a third, sidecar surface: per-worker
-status beacons, a time-series counter ring and an OpenMetrics textfile,
-aggregated by ``repro watch`` -- wall-clock-stamped on purpose and written
-next to (never inside) journals, so the determinism contract is untouched.
+**Live observability** (:mod:`repro.telemetry.live`) is a third, sidecar
+surface: per-worker status beacons and the bounded timeline ring of past
+beacons, aggregated by ``repro watch`` -- wall-clock-stamped on purpose and
+written next to (never inside) journals, so the determinism contract is
+untouched.
 """
 
 from __future__ import annotations

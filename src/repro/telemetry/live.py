@@ -6,10 +6,12 @@ multi-host sweep observable without touching the determinism contract:
 
 - :class:`BeaconWriter` -- each worker keeps one small JSON "beacon" file
   fresh on a wall-clock interval (worker id, current task, tasks
-  done/failed, claim/steal counts, rolling task rate, counter deltas).
-  Beacons are written with atomic ``os.replace`` next to the queue
-  directory, **never** into journals: merged rows, metrics snapshots and
-  flight records stay byte-identical whether beacons are on or off.
+  done/failed, claim/steal counts, rolling task rate, counter deltas) and
+  appends every beacon it writes to a bounded ``timeline.jsonl`` ring, so
+  the beacon is just the ring's newest entry (:func:`read_timeline`).
+  Both are written next to the queue directory, **never** into journals:
+  merged rows, metrics snapshots and flight records stay byte-identical
+  whether beacons are on or off.
 - :func:`detect_health` -- structured health causes over beacons + queue
   state, mirroring the ``MergeError`` pattern: every cause is a registered
   slug in :data:`repro.errors.HEALTH_CAUSES` and documented in README and
@@ -21,7 +23,7 @@ multi-host sweep observable without touching the determinism contract:
   per worker.
 
 Live artifacts are advisory and lossy by design (a beacon may be one
-interval stale, a timeline ring drops old samples); the journals remain
+interval stale, a timeline ring drops old beacons); the journals remain
 the only authority on what was computed.
 """
 
@@ -45,10 +47,13 @@ PathLike = Union[str, Path]
 BEACON_SCHEMA = "repro-beacon/1"
 LIVE_SCHEMA = "repro-live/1"
 BEACON_SUFFIX = ".beacon.json"
+TIMELINE_SUFFIX = ".timeline.jsonl"
 
 DEFAULT_BEACON_INTERVAL = 2.0
+#: Beacons a timeline ring keeps before it is compacted to the newest ones.
+TIMELINE_MAX_SAMPLES = 4096
 
-#: Counter families a beacon/timeline snapshot carries (everything else is
+#: Counter families a beacon snapshot carries (everything else is
 #: noise at fleet granularity and bloats the per-interval write).
 LIVE_COUNTER_PREFIXES = (
     "sched.",
@@ -82,7 +87,7 @@ _ACTIVE: List[object] = []
 
 
 def register_live(obj: object) -> None:
-    """Track a live writer/sampler so :func:`reset_live` can disown it."""
+    """Track a live writer so :func:`reset_live` can disown it."""
     with _ACTIVE_LOCK:
         _ACTIVE.append(obj)
 
@@ -94,7 +99,7 @@ def unregister_live(obj: object) -> None:
 
 
 def reset_live() -> None:
-    """Disown every live writer/sampler without a final write.
+    """Disown every live writer without a final write.
 
     Called from :func:`repro.parallel.worker.reset_worker_state`: a forked
     worker inherits the parent's module state (including any
@@ -115,15 +120,18 @@ def reset_live() -> None:
 # Beacons
 # ---------------------------------------------------------------------------
 class BeaconWriter:
-    """Keeps one worker's status beacon fresh from a background thread.
+    """Keeps one worker's status beacon and timeline ring fresh from one thread.
 
     The beacon is rewritten atomically (temp file + ``os.replace``) every
     ``interval`` seconds and immediately on every :meth:`update`, so a
     reader never observes a torn file and a dead worker is recognizable by
-    its stale ``updated_unix``.  Progress (``tasks_done`` changing) bumps
+    its stale ``updated_unix``.  With ``timeline_path`` set, every beacon
+    written is also appended to that JSONL ring, which is compacted in
+    place to the newest :data:`TIMELINE_MAX_SAMPLES` entries once it grows
+    past them.  Progress (``tasks_done`` changing) bumps
     ``last_progress_unix``; a rolling window of (time, tasks_done) samples
-    yields ``rate_tasks_per_s``.  Write failures are swallowed: beacons
-    are advisory and must never fail a sweep.
+    yields ``rate_tasks_per_s``.  Write failures are swallowed: beacons are
+    advisory and must never fail a sweep.
     """
 
     def __init__(
@@ -133,13 +141,18 @@ class BeaconWriter:
         interval: float = DEFAULT_BEACON_INTERVAL,
         counters_fn: Optional[Callable[[], Dict[str, float]]] = None,
         clock: Callable[[], float] = time.time,
+        timeline_path: Optional[PathLike] = None,
     ) -> None:
         self.path = Path(path)
         self.worker = str(worker)
         self.interval = max(float(interval), 0.05)
+        self.timeline_path = Path(timeline_path) if timeline_path is not None else None
         self._clock = clock
         self._counters_fn = counters_fn if counters_fn is not None else _filtered_counters
         self._lock = threading.Lock()
+        # Serializes whole writes (the refresh thread races update()), so
+        # the temp file and the ring see one writer at a time.
+        self._write_lock = threading.Lock()
         now = clock()
         self._started = now
         self._last_progress = now
@@ -155,6 +168,8 @@ class BeaconWriter:
         }
         self._history: collections.deque = collections.deque(maxlen=16)
         self._last_counters: Dict[str, float] = {}
+        self._ring: collections.deque = collections.deque(maxlen=TIMELINE_MAX_SAMPLES)
+        self._ring_lines = 0
         self._stop = threading.Event()
         self._discarded = False
         self._thread = threading.Thread(
@@ -163,13 +178,13 @@ class BeaconWriter:
 
     def start(self) -> "BeaconWriter":
         register_live(self)
-        self._write()
+        self.write()
         self._thread.start()
         return self
 
     def _run(self) -> None:
         while not self._stop.wait(self.interval):
-            self._write()
+            self.write()
 
     def update(self, **fields: object) -> None:
         """Merge ``fields`` into the beacon and write it immediately."""
@@ -180,7 +195,7 @@ class BeaconWriter:
             self._fields.update(fields)
             if self._fields.get("tasks_done") != before:
                 self._last_progress = self._clock()
-        self._write()
+        self.write()
 
     def stop(self, phase: str = "done") -> None:
         """Stop the refresh thread and write one final beacon."""
@@ -190,7 +205,7 @@ class BeaconWriter:
         with self._lock:
             if not self._discarded:
                 self._fields["phase"] = phase
-        self._write()
+        self.write()
         unregister_live(self)
 
     def discard(self) -> None:
@@ -233,21 +248,67 @@ class BeaconWriter:
             **fields,
         }
 
-    def _write(self) -> None:
-        with self._lock:
-            if self._discarded:
-                return
-        payload = self.payload()
-        tmp = self.path.with_name(self.path.name + f".{os.getpid()}.tmp")
-        try:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            tmp.write_text(json.dumps(payload, sort_keys=True) + "\n", encoding="utf-8")
-            os.replace(str(tmp), str(self.path))
-        except OSError:
+    def write(self) -> Optional[Dict[str, object]]:
+        """Replace the beacon and append it to the ring; ``None`` once discarded."""
+        with self._write_lock:
+            with self._lock:
+                if self._discarded:
+                    return None
+            payload = self.payload()
+            line = json.dumps(payload, sort_keys=True) + "\n"
             try:
-                tmp.unlink()
+                _replace_text(self.path, line)
+                if self.timeline_path is not None:
+                    self._append_to_ring(payload, line)
             except OSError:
                 pass
+            return payload
+
+    def _append_to_ring(self, payload: Dict[str, object], line: str) -> None:
+        self._ring.append(payload)
+        self._ring_lines += 1
+        if self._ring_lines > self._ring.maxlen or not self.timeline_path.exists():
+            # Compact: rewrite the file as just the ring's newest entries.
+            _replace_text(
+                self.timeline_path,
+                "".join(json.dumps(entry, sort_keys=True) + "\n" for entry in self._ring),
+            )
+            self._ring_lines = len(self._ring)
+        else:
+            with open(self.timeline_path, "a", encoding="utf-8") as handle:
+                handle.write(line)
+
+
+def _replace_text(path: Path, text: str) -> None:
+    """Atomically replace ``path`` with ``text`` (temp file + ``os.replace``)."""
+    tmp = path.with_name(path.name + f".{os.getpid()}.tmp")
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        tmp.write_text(text, encoding="utf-8")
+        os.replace(str(tmp), str(path))
+    except OSError:
+        try:
+            tmp.unlink()
+        except OSError:
+            pass
+        raise
+
+
+def read_timeline(path: PathLike) -> List[Dict[str, object]]:
+    """The beacons a timeline ring holds, oldest first (torn lines skipped)."""
+    samples: List[Dict[str, object]] = []
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except OSError:
+        return samples
+    for line in text.splitlines():
+        try:
+            entry = json.loads(line)
+        except ValueError:
+            continue
+        if isinstance(entry, dict) and entry.get("schema") == BEACON_SCHEMA:
+            samples.append(entry)
+    return samples
 
 
 def read_beacons(directory: PathLike) -> List[Dict[str, object]]:

@@ -8,9 +8,8 @@ Two input shapes are understood, auto-detected from the first line:
   hammering outcomes and failure causes;
 - a **sweep journal** (``*.journal.jsonl``, written by
   :class:`repro.parallel.journal.SweepJournal`): per-task status, attempts
-  and structured failure causes for a whole grid.  Shard journals
-  (``--shard i/n``) and ``repro merge`` outputs are auto-detected from the
-  header's shard metadata and rendered with their shard identity.
+  and structured failure causes for a whole grid, headed by the journal's
+  owner (a queue worker, ``shard-<i>-of-<n>``, or a ``repro merge`` output).
 
 A **queue directory** (as passed to ``sweep --queue``) is accepted too:
 the report then covers the whole fleet -- per-worker commit counts from
@@ -417,25 +416,13 @@ def render_journal_markdown(analysis: Dict[str, object]) -> str:
     lines: List[str] = ["# Sweep journal report", ""]
     lines.append(f"- grid sha: `{_fmt(header.get('grid_sha'))}`")
     lines.append(f"- total tasks: {_fmt(header.get('total_tasks'))}")
-    # Ownership identity (auto-detected): a shard journal covers one slice
-    # of the grid, a queue journal belongs to one worker, and a merged
-    # journal records how many per-host journals it reassembled.
+    # Ownership identity: every journal names its owner -- a queue worker,
+    # ``shard-<i>-of-<n>``, or ``merged`` with the count of journals it
+    # reassembled.
+    lines.append(f"- owner: {_fmt(header.get('worker'))}")
     if header.get("merged_from") is not None:
         lines.append(
-            f"- merged from {_fmt(header.get('merged_from'))} per-host journal(s) "
-            f"({len(header.get('shard_task_ids') or ())} task(s) covered)"
-        )
-    elif header.get("schedule") == "queue":
-        lines.append(
-            f"- queue worker: {_fmt(header.get('worker'))} "
-            f"(dynamic ownership of a {_fmt(header.get('total_tasks'))}-task grid)"
-        )
-    elif int(header.get("shard_count") or 1) > 1:
-        lines.append(
-            f"- shard: {int(header.get('shard_index') or 0) + 1} of "
-            f"{_fmt(header.get('shard_count'))} "
-            f"({len(header.get('shard_task_ids') or ())} of "
-            f"{_fmt(header.get('total_tasks'))} tasks)"
+            f"- merged from {_fmt(header.get('merged_from'))} per-host journal(s)"
         )
     lines.append(f"- recorded results: {len(analysis['tasks'])}")
     for status, count in analysis["by_status"].items():

@@ -4,18 +4,20 @@ Layered cheapest-first, mirroring ``test_scheduler.py``:
 
 1. **Beacon units**: atomic writes, rolling rates under an injected clock,
    reader tolerance to corrupt/foreign files, fork-discard semantics.
-2. **Timeline/OpenMetrics units**: ring compaction, exposition format.
+2. **Timeline ring/OpenMetrics units**: the beacon writer's ring and its
+   compaction, exposition format.
 3. **Health detection**: every registered ``HEALTH_CAUSES`` slug from
    synthetic beacons (pure-function, no sleeping).
 4. **Fleet end-to-end**: a two-worker fault-slowed queue drain with
-   beacons + timeline sampling on merges byte-identical to the unsharded
-   run, ``fleet_status`` is sane mid-drain and after, and a synthetic
-   stalled worker surfaces in both ``queue-status`` and ``watch``.
+   beacons and their timeline rings on merges byte-identical to the
+   unsharded run, ``fleet_status`` is sane mid-drain and after, and a
+   synthetic stalled worker surfaces in both ``queue-status`` and ``watch``.
 """
 
 from __future__ import annotations
 
 import json
+import threading
 
 import pytest
 
@@ -45,11 +47,11 @@ from repro.telemetry.live import (
     format_fleet,
     health_issue,
     read_beacons,
+    read_timeline,
     reset_live,
     write_fleet_trace,
 )
 from repro.telemetry.registry import TelemetryError
-from repro.telemetry.timeline import TimelineSampler, read_timeline
 from repro.telemetry.trace import stitch_traces, validate_trace
 
 
@@ -205,72 +207,116 @@ class TestBeaconWriter:
         process-state reset must discard them so the child never rewrites
         the parent's beacon path as its own."""
         path = tmp_path / f"parent{BEACON_SUFFIX}"
+        ring = tmp_path / "parent.timeline.jsonl"
         beacon = BeaconWriter(path, worker="parent", interval=60.0,
-                              counters_fn=dict).start()
-        sampler = TimelineSampler(tmp_path / "parent.timeline.jsonl",
-                                  interval=60.0, counters_fn=dict).start()
-        before = path.read_text()
+                              counters_fn=dict, timeline_path=ring).start()
+        before, ring_before = path.read_text(), ring.read_text()
         reset_worker_state()
         beacon.update(tasks_done=42)
         beacon.stop()
-        assert path.read_text() == before
-        assert sampler.sample() is None
+        assert beacon.write() is None
+        assert path.read_text() == before and ring.read_text() == ring_before
         reset_live()  # idempotent on an empty registry
 
 
 # ---------------------------------------------------------------------------
-# Timeline sampler + OpenMetrics exposition.
+# The beacon writer's timeline ring + OpenMetrics exposition.
 class TestTimelineSampler:
+    """Every beacon the writer writes is also a timeline ring entry."""
+
     def test_samples_carry_counters_deltas_and_extras(self, tmp_path):
         counters = {"sched.claims": 1.0}
         path = tmp_path / "t.timeline.jsonl"
-        sampler = TimelineSampler(path, interval=60.0,
-                                  counters_fn=lambda: dict(counters),
-                                  extra_fn=lambda: {"worker": "w1"})
-        sampler.start()
+        beacon = BeaconWriter(tmp_path / f"w1{BEACON_SUFFIX}", worker="w1",
+                              interval=60.0, counters_fn=lambda: dict(counters),
+                              timeline_path=path)
+        beacon.start()
         counters["sched.claims"] = 4.0
-        sampler.sample()
-        sampler.stop()
+        beacon.update(tasks_done=2)
+        beacon.stop()
         samples = read_timeline(path)
-        assert len(samples) == 3  # start + explicit + final
-        assert samples[0]["deltas"] == {"sched.claims": 1.0}
-        assert samples[1]["deltas"] == {"sched.claims": 3.0}
+        assert len(samples) == 3  # start + update + final
+        assert samples[0]["counter_deltas"] == {"sched.claims": 1.0}
+        assert samples[1]["counter_deltas"] == {"sched.claims": 3.0}
+        assert samples[1]["tasks_done"] == 2
         assert all(s["worker"] == "w1" for s in samples)
+        # The beacon is just the newest ring entry.
+        assert samples[-1] == json.loads(beacon.path.read_text())
+        assert samples[-1]["phase"] == "done"
 
-    def test_ring_compaction_bounds_the_file(self, tmp_path):
+    def test_ring_compaction_bounds_the_file(self, tmp_path, monkeypatch):
+        from repro.telemetry import live
+
+        monkeypatch.setattr(live, "TIMELINE_MAX_SAMPLES", 4)
         path = tmp_path / "t.timeline.jsonl"
-        sampler = TimelineSampler(path, interval=60.0, counters_fn=dict,
-                                  max_samples=4)
-        sampler.start()
-        for _ in range(10):
-            sampler.sample()
-        sampler.stop()
+        beacon = BeaconWriter(tmp_path / f"w{BEACON_SUFFIX}", worker="w",
+                              interval=60.0, counters_fn=dict,
+                              timeline_path=path)
+        beacon.start()
+        for done in range(1, 11):
+            beacon.update(tasks_done=done)
+        beacon.stop()
+        lines = path.read_text().splitlines()
+        assert len(lines) <= 5  # compacted to 4, plus at most one append
         samples = read_timeline(path)
-        assert len(samples) <= 4
-        # The compacted file self-identifies with a schema line.
-        first = json.loads(path.read_text().splitlines()[0])
-        assert first == {"kind": "schema", "value": "repro-timeline/1"}
+        assert len(samples) == len(lines)
+        assert [s["tasks_done"] for s in samples][-2:] == [10, 10]
+        assert list(tmp_path.glob("*.tmp")) == []
 
-    def test_each_tick_rewrites_openmetrics_textfile(self, tmp_path):
-        prom = tmp_path / "live.prom"
-        sampler = TimelineSampler(tmp_path / "t.jsonl", interval=60.0,
-                                  counters_fn=lambda: {"sched.claims": 7.0},
-                                  openmetrics_path=prom)
-        sampler.start()
-        sampler.stop()
-        text = prom.read_text()
-        assert "# TYPE repro_sched_claims counter" in text
-        assert "repro_sched_claims_total 7" in text
-        assert text.endswith("# EOF\n")
+    def test_concurrent_writes_never_tear_or_lose_ring_entries(self, tmp_path):
+        """The refresh thread races every update(); whole writes are
+        serialized, so each one lands as exactly one intact ring line."""
+        import sys
+
+        path = tmp_path / "t.timeline.jsonl"
+        beacon = BeaconWriter(tmp_path / f"w{BEACON_SUFFIX}", worker="w",
+                              interval=0.05, counters_fn=dict, timeline_path=path)
+        written = []
+        real_write = beacon.write
+
+        def counting_write():
+            payload = real_write()
+            if payload is not None:
+                written.append(payload)
+            return payload
+
+        beacon.write = counting_write
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            beacon.start()
+            threads = [
+                threading.Thread(
+                    target=lambda: [beacon.update(phase="running") for _ in range(50)]
+                )
+                for _ in range(4)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30.0)
+            assert not any(thread.is_alive() for thread in threads)
+            beacon.stop()
+        finally:
+            sys.setswitchinterval(switch)
+        lines = path.read_text().splitlines()
+        assert len(lines) == len(written) >= 4 * 50 + 2
+        ring = read_timeline(path)
+
+        def canonical(docs):
+            return sorted(json.dumps(doc, sort_keys=True) for doc in docs)
+
+        assert canonical(ring) == canonical(written)
+        assert json.loads(beacon.path.read_text()) == ring[-1]
 
     def test_read_timeline_tolerates_torn_lines(self, tmp_path):
         path = tmp_path / "t.jsonl"
         path.write_text(
-            json.dumps({"kind": "schema", "value": "repro-timeline/1"}) + "\n"
-            + json.dumps({"kind": "sample", "t": 1.0, "counters": {}}) + "\n"
-            + '{"kind": "sample", "t": 2.0, "coun\n'
+            json.dumps(_beacon(worker="w1")) + "\n"
+            + json.dumps({"schema": "other/1", "worker": "alien"}) + "\n"
+            + '{"schema": "repro-beacon/1", "worker": "w\n'
         )
-        assert len(read_timeline(path)) == 1
+        assert [s["worker"] for s in read_timeline(path)] == ["w1"]
         assert read_timeline(tmp_path / "missing.jsonl") == []
 
 
@@ -412,9 +458,19 @@ class TestDetectHealth:
 # Fleet end-to-end: queue drain with the live layer on.
 class TestFleetEndToEnd:
     def test_live_layer_never_perturbs_merged_bytes(self, tmp_path, monkeypatch):
-        """Acceptance: beacons + timeline sampling + a fault-injection delay
-        on one worker change nothing about the merged rows/metrics/events."""
+        """Acceptance: beacons + their timeline rings + a fault-injection
+        delay on one worker change nothing about the merged
+        rows/metrics/events, and a live worker runs one writer thread."""
         from repro.parallel import scheduler
+
+        live_threads = set()
+
+        def observed_runner(payload):
+            live_threads.update(
+                t.name for t in threading.enumerate()
+                if t.name.startswith(("beacon-", "timeline-"))
+            )
+            return _rich_runner(payload)
 
         grid = _grid()
         reference = _reference(tmp_path, grid)
@@ -422,7 +478,7 @@ class TestFleetEndToEnd:
         monkeypatch.setenv(scheduler.FAULT_DELAY_ENV, "0.02")
         slow = run_queue(tmp_path / "q", worker_id="slow", task_runner=_rich_runner,
                          max_tasks=2, wait_for_completion=False,
-                         beacon_interval=0.1, timeline_interval=0.1)
+                         beacon_interval=0.1)
         monkeypatch.delenv(scheduler.FAULT_DELAY_ENV)
 
         # Mid-drain snapshot: one worker finished its slice, queue not drained.
@@ -432,8 +488,9 @@ class TestFleetEndToEnd:
         assert [w["worker"] for w in fleet["workers"]] == ["slow"]
         assert fleet["drain_percent"] == 33.33  # rounded for display
 
-        fast = run_queue(tmp_path / "q", worker_id="fast", task_runner=_rich_runner,
-                         beacon_interval=0.1, timeline_interval=0.1)
+        fast = run_queue(tmp_path / "q", worker_id="fast", task_runner=observed_runner,
+                         beacon_interval=0.1)
+        assert live_threads == {"beacon-fast"}
         result = merge_journals([slow.journal_path, fast.journal_path])
         _assert_identical(tmp_path, result, reference)
 
@@ -442,7 +499,9 @@ class TestFleetEndToEnd:
         assert [b["worker"] for b in beacons] == ["fast", "slow"]
         assert all(b["phase"] == "done" for b in beacons)
         assert beacons[0]["tasks_done"] == fast.claims
-        assert read_timeline(manifest.timeline_path("fast"))
+        ring = read_timeline(manifest.timeline_path("fast"))
+        assert ring and {s["worker"] for s in ring} == {"fast"}
+        assert ring[-1] == beacons[0]  # the beacon is the newest ring entry
         assert not list((manifest.root / "journals").glob("*beacon*"))
 
         # Drained snapshot: ETA collapses to 0 and health is quiet.
@@ -618,3 +677,5 @@ class TestWatchCli:
         (beacon,) = read_beacons(live_dir)
         assert beacon["phase"] == "done"
         assert beacon["tasks_done"] == 2 and beacon["tasks_failed"] == 0
+        (ring,) = (live_dir / "timeline").glob("*.timeline.jsonl")
+        assert read_timeline(ring)[-1] == beacon

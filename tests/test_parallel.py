@@ -144,7 +144,7 @@ def test_task_json_round_trip_rejects_unknown_fields():
 def test_journal_round_trip_with_torn_and_malformed_lines(tmp_path):
     path = tmp_path / "j.jsonl"
     with SweepJournal(str(path)) as journal:
-        journal.append_header(grid_sha="abc", total_tasks=2)
+        journal.append_header(grid_sha="abc", grid_task_ids=["t1", "t2"], worker="w")
         journal.append({"kind": "result", "task_id": "t1", "status": "ok", "row": {"x": 1}})
         journal.append({"kind": "result", "task_id": "t2", "status": "failed"})
     with open(path, "a", encoding="utf-8") as handle:
@@ -245,9 +245,9 @@ def test_run_sweep_grid_sha_check_fails_fast_even_without_resume(tmp_path):
     journal = tmp_path / "sweep.jsonl"
     other = _grid(methods=("x", "y"))
     with SweepJournal(journal) as handle:
-        handle.append_header(grid_sha=other.grid_sha(), total_tasks=2,
-                             shard_index=0, shard_count=1,
-                             shard_task_ids=[t.task_id for t in other.expand()])
+        handle.append_header(grid_sha=other.grid_sha(),
+                             grid_task_ids=[t.task_id for t in other.expand()],
+                             worker="shard-0-of-1")
     with pytest.raises(SweepError) as exc:
         run_sweep(_grid(), workers=1, journal_path=str(journal), task_runner=_ok_runner)
     assert other.grid_sha() in str(exc.value)
@@ -259,10 +259,10 @@ def test_run_sweep_refuses_resume_under_a_different_shard_spec(tmp_path):
     grid = _grid(methods=("a", "b", "c"))
     run_sweep(grid, workers=1, journal_path=journal, task_runner=_ok_runner,
               shard="0/2")
-    with pytest.raises(SweepError, match=r"shard 0/2, not 1/2"):
+    with pytest.raises(SweepError, match=r"'shard-0-of-2', not 'shard-1-of-2'"):
         run_sweep(grid, workers=1, journal_path=journal, resume=True,
                   task_runner=_ok_runner, shard="1/2")
-    with pytest.raises(SweepError, match=r"shard 0/2, not 0/1"):
+    with pytest.raises(SweepError, match=r"'shard-0-of-2', not 'shard-0-of-1'"):
         run_sweep(grid, workers=1, journal_path=journal, resume=True,
                   task_runner=_ok_runner)
 
@@ -387,6 +387,31 @@ def test_cli_sweep_is_deterministic_across_worker_counts_and_resumes(tmp_path, m
     assert json.loads(out_resumed.read_text()) == rows
     state = SweepJournal.load(str(cut))
     assert len(state.completed) == 4 and len(state.resumes) == 1
+
+
+def test_cli_sweep_reports_sweep_errors_as_one_line_and_exit_2(tmp_path, capsys):
+    """A misconfigured plain sweep fails like a queue sweep does: one
+    ``sweep: <message>`` line on stderr and exit 2, never a traceback."""
+    from repro.cli import main
+
+    argv = ["sweep", "--methods", "CFT", "--models", "tinycnn", "--scale", "micro",
+            "--out", str(tmp_path / "rows.json")]
+    dirty = tmp_path / "dirty.jsonl"
+    with SweepJournal(dirty) as journal:  # an earlier run's results
+        journal.append({"kind": "header", "grid_sha": "abc"})
+        journal.append({"kind": "result", "task_id": "t", "status": "ok", "row": {}})
+    cases = [
+        (["--journal", str(dirty)], "already holds 1 results"),
+        (["--max-attempts", "0"], "max_attempts must be positive"),
+        (["--workers", "-2"], "--workers must be at least 1, got -2"),
+        (["--workers", "0"], "--workers must be at least 1, got 0"),
+    ]
+    for extra, message in cases:
+        assert main(argv + extra) == 2, extra
+        err = capsys.readouterr().err
+        assert err.startswith("sweep: ") and message in err, err
+        assert err.count("\n") == 1 and "Traceback" not in err
+    assert not (tmp_path / "rows.json").exists()
 
 
 def test_run_method_comparison_delegates_to_the_runner(tmp_path, monkeypatch):

@@ -7,8 +7,9 @@ Mirrors ``test_merge.py``'s layering, cheapest first:
 2. **Fake-runner byte identity**: interleaved workers, a killed worker, a
    wedged-then-stolen worker -- every fault mode merges to the rows,
    metrics and flight record of the unsharded run.
-3. **Queue-mode merge fault injection**: every queue-specific
-   :class:`MergeError` cause, and which degrade under ``allow_incomplete``.
+3. **Merge fault injection on queue journals**: the :class:`MergeError`
+   causes dynamic ownership can trigger, and which degrade under
+   ``allow_incomplete``.
 4. **CLI end-to-end** (tier-1 acceptance): the real micro-scale pipeline
    through ``repro sweep --queue`` + ``repro queue-status`` +
    ``repro merge``, byte-identical to the unsharded run.
@@ -220,10 +221,7 @@ def test_killed_worker_after_journaling_dedups_identically(tmp_path):
     lease, _, _ = claim_next(manifest, "aa-crashed")
     outcome = _rich_runner({"task": manifest.tasks[0].to_json()})
     with SweepJournal(manifest.journal_path("aa-crashed")) as journal:
-        journal.append_header(
-            grid_sha=manifest.grid_sha, total_tasks=manifest.total_tasks,
-            schedule="queue", worker="aa-crashed", grid_task_ids=manifest.task_ids,
-        )
+        journal.append_header(manifest.grid_sha, manifest.task_ids, "aa-crashed")
         journal.append(build_result_record(
             lease.task_id, "ok", 1, 0.01, row=outcome["row"],
             metrics=outcome["metrics"], spans=outcome["spans"],
@@ -358,7 +356,7 @@ def test_run_queue_rejects_foreign_journal_identity(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# Queue-mode merge fault injection: the structured causes.
+# Merge fault injection on queue journals: the structured causes.
 def _drain(tmp_path, grid, workers=("w1", "w2")):
     init_queue(tmp_path / "q", grid, lease_ttl=60.0)
     paths = []
@@ -393,19 +391,10 @@ def _cause(paths, **kwargs):
     return excinfo.value.cause
 
 
-def test_merge_rejects_mixed_schedules(tmp_path):
-    grid = _grid()
-    queue_paths = _drain(tmp_path, grid)
-    shard_path = tmp_path / "shard.jsonl"
-    run_sweep(grid, task_runner=_rich_runner, shard=(0, 2),
-              journal_path=str(shard_path))
-    assert _cause([queue_paths[0], shard_path]) == "mixed-schedule"
-
-
 def test_merge_rejects_missing_queue_metadata(tmp_path):
     paths = _drain(tmp_path, _grid())
     _edit_header(paths[0], worker=None)
-    assert _cause(paths) == "missing-queue-metadata"
+    assert _cause(paths) == "missing-header"
 
 
 def test_merge_rejects_duplicate_worker(tmp_path):
@@ -425,12 +414,23 @@ def test_merge_rejects_grid_tasks_mismatch(tmp_path):
 
 
 def test_merge_rejects_foreign_result(tmp_path):
-    paths = _drain(tmp_path, _grid())
-    with open(paths[0], "a", encoding="utf-8") as handle:
-        handle.write(json.dumps(build_result_record(
-            "not|in|this|grid|seed=9", "ok", 1, 0.0, row={"x": 1}
-        )) + "\n")
-    assert _cause(paths) == "foreign-result"
+    grid = _grid()
+    paths = _drain(tmp_path, grid)
+    shard = tmp_path / "shard.jsonl"
+    run_sweep(grid, task_runner=_rich_runner, shard=(0, 2), journal_path=str(shard))
+    foreign = json.dumps(build_result_record(
+        "not|in|this|grid|seed=9", "ok", 1, 0.0, row={"x": 1}
+    )) + "\n"
+    # A queue worker's and a shard's journal alike may own any grid task,
+    # but nothing outside the grid.
+    for path in (paths[0], shard):
+        with open(path, "a", encoding="utf-8") as handle:
+            handle.write(foreign)
+        with pytest.raises(MergeError) as excinfo:
+            merge_journals([shard, *paths])
+        assert excinfo.value.cause == "foreign-result"
+        assert excinfo.value.details["path"] == str(path)
+        assert excinfo.value.details["task_ids"] == ["not|in|this|grid|seed=9"]
 
 
 def test_merge_rejects_conflicting_duplicate_rows(tmp_path):

@@ -1,4 +1,4 @@
-"""Shard partition contract: ``SweepGrid.shard`` / ``ShardSpec``.
+"""Shard partition contract: ``ShardSpec`` slices of the canonical grid order.
 
 Property tests pin down the three invariants ``repro merge`` relies on --
 shards of the canonical grid order are disjoint, jointly exhaustive and
@@ -48,7 +48,7 @@ def _ok_runner(payload):
 def test_shards_partition_the_grid(n_methods, n_models, n_seeds, count):
     grid = _grid(n_methods, n_models, n_seeds)
     tasks = grid.expand()
-    shards = [grid.shard(index, count) for index in range(count)]
+    shards = [list(ShardSpec(index, count).slice(tasks)) for index in range(count)]
 
     # Order-preserving and jointly exhaustive: concatenation IS expand().
     assert [t for shard in shards for t in shard] == tasks
@@ -72,7 +72,7 @@ def test_shard_bounds_tile_any_total(total, count):
 
 def test_shard_allows_more_shards_than_tasks():
     grid = _grid(n_methods=2)
-    shards = [grid.shard(index, 5) for index in range(5)]
+    shards = [ShardSpec(index, 5).slice(grid.expand()) for index in range(5)]
     assert [len(s) for s in shards] == [1, 1, 0, 0, 0]
 
 
@@ -130,11 +130,18 @@ def test_shard_journal_header_records_the_slice(tmp_path):
     journal = tmp_path / "s1.jsonl"
     run_sweep(grid, workers=1, task_runner=_ok_runner, shard="1/2",
               journal_path=str(journal))
-    header = SweepJournal.load(journal).header
+    state = SweepJournal.load(journal)
+    header = state.header
     assert header["grid_sha"] == grid.grid_sha()
     assert header["total_tasks"] == 3
-    assert (header["shard_index"], header["shard_count"]) == (1, 2)
-    assert header["shard_task_ids"] == [t.task_id for t in grid.shard(1, 2)]
+    # A shard is a worker whose claims were one fixed contiguous slice: the
+    # header pins the full grid, the owner names the slice, and the results
+    # it committed are exactly that slice.
+    assert header["worker"] == "shard-1-of-2"
+    assert header["grid_task_ids"] == [t.task_id for t in grid.expand()]
+    assert list(state.records) == [
+        t.task_id for t in ShardSpec(1, 2).slice(grid.expand())
+    ]
 
 
 def test_unsharded_journal_header_is_the_trivial_shard(tmp_path):
@@ -142,5 +149,5 @@ def test_unsharded_journal_header_is_the_trivial_shard(tmp_path):
     journal = tmp_path / "all.jsonl"
     run_sweep(grid, workers=1, task_runner=_ok_runner, journal_path=str(journal))
     header = SweepJournal.load(journal).header
-    assert (header["shard_index"], header["shard_count"]) == (0, 1)
-    assert header["shard_task_ids"] == [t.task_id for t in grid.expand()]
+    assert header["worker"] == "shard-0-of-1"
+    assert header["grid_task_ids"] == [t.task_id for t in grid.expand()]

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Docs-freshness gate: fail CI when code outgrows the operator docs.
 
-Four invariants, each checked from the single source of truth in code so
+Five invariants, each checked from the single source of truth in code so
 the README runbook and DESIGN chapter cannot silently rot:
 
 1. Every CLI subcommand (from ``repro.cli.build_parser``) is mentioned in
@@ -15,6 +15,9 @@ the README runbook and DESIGN chapter cannot silently rot:
 4. Every live-health cause (``repro.errors.HEALTH_CAUSES``, surfaced by
    ``repro watch`` / ``repro queue-status``) appears in both README.md and
    DESIGN.md.
+5. The reverse of 2 for the runbook: every backticked slug in the first
+   column of README.md's "Merge failures are structured" table is a
+   registered ``MergeError`` cause, so a deleted cause cannot linger there.
 
 Run from the repo root: ``PYTHONPATH=src python tools/check_docs.py``.
 Exit code 0 when the docs are fresh, 1 with a per-item report otherwise.
@@ -30,6 +33,7 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parent.parent
 _RAISE_RE = re.compile(r"MergeError\(\s*[\"']([a-z-]+)[\"']")
 _HEALTH_RE = re.compile(r"health_issue\(\s*\n?\s*[\"']([a-z-]+)[\"']")
+_RUNBOOK_MARKER = "Merge failures are structured"
 
 
 def cli_subcommands():
@@ -53,6 +57,26 @@ def emitted_health_causes():
     causes = set()
     for path in (REPO / "src" / "repro").rglob("*.py"):
         causes.update(_HEALTH_RE.findall(path.read_text(encoding="utf-8")))
+    return causes
+
+
+def runbook_causes(readme):
+    """Backticked slugs in the first column of the README merge-failure
+    table (``None`` when the table is missing)."""
+    lines = readme.splitlines()
+    start = next(
+        (index for index, line in enumerate(lines) if _RUNBOOK_MARKER in line), None
+    )
+    if start is None:
+        return None
+    causes = []
+    in_table = False
+    for line in lines[start:]:
+        if line.startswith("|"):
+            in_table = True
+            causes.extend(re.findall(r"`([^`]+)`", line.split("|")[1]))
+        elif in_table:
+            break
     return causes
 
 
@@ -88,6 +112,17 @@ def main() -> int:
         problems.append(
             f"MergeError cause `{cause}` is registered but never raised "
             "(stale registry entry?)"
+        )
+
+    runbook = runbook_causes(readme)
+    if runbook is None:
+        problems.append(
+            f"README.md has no \"{_RUNBOOK_MARKER}\" troubleshooting table"
+        )
+    for cause in sorted(set(runbook or ()) - MERGE_ERROR_CAUSES):
+        problems.append(
+            f"README.md troubleshooting table lists `{cause}`, which is not a "
+            "registered MergeError cause (deleted? rename the row)"
         )
 
     for cause in sorted(HEALTH_CAUSES):
