@@ -8,6 +8,11 @@ flat index per input geometry; convolution and both poolings share it.
 (:attr:`~repro.autodiff.tensor.Function.needs_input_grad`): the
 ``grad_cols`` GEMM and col2im scatter only when ``x`` needs one, the weight
 GEMM only when ``weight`` does, the bias sum only when ``bias`` does.
+
+Patch gradients reach col2im (:func:`_col2im`) in one layout, tap-major
+``(N, C*kh*kw, out_h*out_w)``: the convolution's backend GEMM writes it
+directly and the poolings pass a transposed view of their
+``(N, L, C*kh*kw)`` columns, so one kernel serves all three.
 """
 
 from __future__ import annotations
@@ -73,7 +78,10 @@ def _im2col(
             f"kernel ({kh},{kw}), stride {stride}, padding {padding}"
         )
     if padding:
-        x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+        # The bytes np.pad would produce, without its per-call overhead.
+        padded = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=x.dtype)
+        padded[:, :, padding:-padding, padding:-padding] = x
+        x = padded
     h_pad, w_pad = x.shape[2], x.shape[3]
     index = _im2col_index(c, h_pad, w_pad, kh, kw, stride, out_h, out_w)
     cols = np.take(x.reshape(n, c * h_pad * w_pad), index, axis=1)
@@ -92,8 +100,9 @@ def _col2im(
 ) -> np.ndarray:
     """Scatter-add patches back: inverse of :func:`_im2col` for gradients.
 
-    Delegates to the backend kernel (the pooling backwards route through
-    here too, so every col2im in the model runs the same kernel).
+    ``cols`` is tap-major ``(N, C*kh*kw, out_h*out_w)``.  Delegates to the
+    backend kernel (the pooling backwards route through here too, so every
+    col2im in the model runs the same kernel).
     """
     from repro.backend import current_backend
 
@@ -171,7 +180,9 @@ class MaxPool2dFunction(Function):
         grad_cols = np.zeros((n, out_h * out_w, c, kernel * kernel), dtype=grad.dtype)
         np.put_along_axis(grad_cols, argmax[..., None], grad_flat[..., None], axis=3)
         grad_cols = grad_cols.reshape(n, out_h * out_w, c * kernel * kernel)
-        grad_x = _col2im(grad_cols, x_shape, kernel, kernel, stride, 0, out_h, out_w)
+        grad_x = _col2im(
+            grad_cols.transpose(0, 2, 1), x_shape, kernel, kernel, stride, 0, out_h, out_w
+        )
         return (grad_x,)
 
 
@@ -196,7 +207,9 @@ class AvgPool2dFunction(Function):
         grad_cols = np.broadcast_to(
             scaled, (n, out_h * out_w, c, kernel * kernel)
         ).reshape(n, out_h * out_w, c * kernel * kernel)
-        grad_x = _col2im(grad_cols, x_shape, kernel, kernel, stride, 0, out_h, out_w)
+        grad_x = _col2im(
+            grad_cols.transpose(0, 2, 1), x_shape, kernel, kernel, stride, 0, out_h, out_w
+        )
         return (grad_x,)
 
 

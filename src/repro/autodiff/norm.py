@@ -1,4 +1,12 @@
-"""Fused batch-normalization operator (training and inference modes)."""
+"""Fused batch-normalization operator (training and inference modes).
+
+Per-channel vectors are broadcast with
+:func:`repro.backend.numpy_backend.per_channel`, in the memory order of the
+activation they meet, so the elementwise work runs contiguous inner loops
+over the NHWC-memory activations the convolutions return; every value and
+every result's strides are those of a plain broadcast of the ``(C,)``
+vector.
+"""
 
 from __future__ import annotations
 
@@ -7,6 +15,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from repro.autodiff.tensor import Function, Tensor
+from repro.backend.numpy_backend import per_channel
 from repro.errors import ShapeError
 
 
@@ -53,17 +62,18 @@ class BatchNorm2dFunction(Function):
         grad_gamma = (grad * x_hat).sum(axis=axes) if need_gamma else None
         if not need_x:
             return None, grad_gamma, grad_beta
-        grad_xhat = grad * gamma[None, :, None, None]
+        grad_xhat = grad * per_channel(gamma, grad)
         if training:
             mean_gxh = grad_xhat.mean(axis=axes)
             mean_gxh_xhat = (grad_xhat * x_hat).mean(axis=axes)
-            grad_x = (
+            centered = (
                 grad_xhat
-                - mean_gxh[None, :, None, None]
-                - x_hat * mean_gxh_xhat[None, :, None, None]
-            ) * inv_std[None, :, None, None]
+                - per_channel(mean_gxh, grad_xhat)
+                - x_hat * per_channel(mean_gxh_xhat, x_hat)
+            )
+            grad_x = centered * per_channel(inv_std, centered)
         else:
-            grad_x = grad_xhat * inv_std[None, :, None, None]
+            grad_x = grad_xhat * per_channel(inv_std, grad_xhat)
         return grad_x, grad_gamma, grad_beta
 
 

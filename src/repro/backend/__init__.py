@@ -4,10 +4,10 @@
 (and backward scatter + gradient GEMMs) behind every convolution, the
 ``Linear`` forward/backward matmuls, and batch-norm statistics and
 normalization -- through :func:`current_backend`, looked up at call time.
-There is one kernel set, :class:`NumpyBackend`: the exact NumPy op sequence
-every golden snapshot and engine digest was recorded against.  The lookup
-stays a call-time indirection because it is the hook point the per-kernel
-tracer (``perfbench/trace.py``) wraps.
+There is one kernel set, :class:`NumpyBackend`: NumPy kernels that produce
+the bytes every golden snapshot and engine digest was recorded against.
+The lookup stays a call-time indirection because it is the hook point the
+per-kernel tracer (``perfbench/trace.py``) wraps.
 """
 
 from __future__ import annotations

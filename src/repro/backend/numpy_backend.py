@@ -1,17 +1,32 @@
-"""The compute kernels: the exact NumPy op sequence the repo has always run.
+"""The compute kernels, byte-identical to the op sequence the goldens were recorded on.
 
-These kernels dominate attack wall-clock.  Every kernel here is the literal
-expression the autodiff ops used before the kernels were lifted out of them,
-so the bytes it produces are the reference the golden snapshots, sweep rows
-and engine digests were recorded against:
+These kernels dominate attack wall-clock.  Each one produces, element for
+element, the bytes of the expression the autodiff ops used before the
+kernels were lifted out of them -- the reference the golden snapshots,
+sweep rows and engine digests were recorded against:
 
 - :meth:`linear` / :meth:`linear_grads` replay the ``Transpose`` +
   ``MatMul`` + ``Add`` tape triple ``nn.Linear`` used to build (including
   the ``_unbroadcast`` reductions the tape applied);
 - :meth:`batchnorm_stats` / :meth:`batchnorm_apply` are the expressions
   lifted out of ``BatchNorm2dFunction.forward``;
-- :meth:`im2col_backward` is the historical ``_col2im`` scatter-add loop;
-- :meth:`conv_grads` is ``Conv2dFunction.backward``'s GEMM + einsum pair.
+- :meth:`conv_grads` is ``Conv2dFunction.backward``'s GEMM + einsum pair,
+  with the input-gradient GEMM transposed so ``grad_cols`` comes out
+  tap-major;
+- :meth:`im2col_backward` is the historical col2im scatter-add loop over
+  that tap-major layout.
+
+Two layout rules keep them fast without changing a byte (DESIGN.md,
+"Compute kernels"):
+
+- a per-channel vector is broadcast through :func:`per_channel`, laid out in
+  the operand's memory order, so an elementwise op over an NHWC-memory
+  activation walks both operands contiguously.  Each element is the same
+  single IEEE operation, and the result keeps the operand's strides, so
+  every later reduction sees the memory order it always saw;
+- ``grad_cols`` is ``(N, C*kh*kw, out_h*out_w)``: each tap's plane is
+  contiguous for col2im's strided adds.  Every element is the same
+  ``out_c``-long dot product, and col2im adds the taps in the same order.
 
 The backward kernels take ``need_input`` / ``need_weight`` flags and skip
 the part nobody reads; a computed part is the same expression either way.
@@ -24,6 +39,20 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro.autodiff.tensor import _unbroadcast
+
+
+def per_channel(v: np.ndarray, like: np.ndarray) -> np.ndarray:
+    """Broadcast the per-channel vector ``v`` over ``like``'s ``(N, C, H, W)``.
+
+    The result is ``(1, C, H, W)`` with ``v``'s dtype, laid out in the memory
+    order of one sample of ``like``: an elementwise op between the two then
+    runs long contiguous inner loops instead of C-long ones over an
+    NHWC-memory activation.  Only one sample is materialized; the batch axis
+    broadcasts.
+    """
+    out = np.empty_like(like[0], dtype=v.dtype)
+    out[...] = v[:, None, None]
+    return out[None]
 
 
 class NumpyBackend:
@@ -57,13 +86,17 @@ class NumpyBackend:
         """The two backward GEMMs of a convolution.
 
         ``grad_mat`` is ``(N, L, out_c)``; returns ``(grad_cols, grad_w)``
-        where ``grad_cols`` is ``(N, L, C*kh*kw)`` (fed to
+        where ``grad_cols`` is tap-major ``(N, C*kh*kw, L)`` (fed to
         :meth:`im2col_backward`) and ``grad_w`` has ``weight_shape``.
         ``need_input=False`` skips the ``grad_cols`` GEMM and
         ``need_weight=False`` the weight GEMM; a skipped part comes back as
         ``None``, and a computed one is unchanged by the other flag.
         """
-        grad_cols = grad_mat @ w_mat if need_input else None  # (N, L, C*kh*kw)
+        # ``(grad_mat @ w_mat)`` transposed: each element is the same
+        # out_c-long dot product, written tap-major for col2im.
+        grad_cols = None
+        if need_input:
+            grad_cols = w_mat.T @ grad_mat.transpose(0, 2, 1)  # (N, C*kh*kw, L)
         grad_w = None
         if need_weight:
             grad_w = np.einsum("nlo,nlk->ok", grad_mat, cols).reshape(weight_shape)
@@ -80,15 +113,20 @@ class NumpyBackend:
         out_h: int,
         out_w: int,
     ) -> np.ndarray:
-        """Scatter-add patch gradients back to image layout (col2im)."""
+        """Scatter-add patch gradients back to image layout (col2im).
+
+        ``cols`` is tap-major ``(N, C*kh*kw, out_h*out_w)``.  The taps are
+        added in ``(i, j)`` order, so every pixel sums its contributions in
+        the historical order.
+        """
         n, c, h, w = x_shape
         padded = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=cols.dtype)
-        cols = cols.reshape(n, out_h, out_w, c, kh, kw).transpose(0, 3, 1, 2, 4, 5)
+        cols = cols.reshape(n, c, kh, kw, out_h, out_w)
         for i in range(kh):
             i_end = i + stride * out_h
             for j in range(kw):
                 j_end = j + stride * out_w
-                padded[:, :, i:i_end:stride, j:j_end:stride] += cols[:, :, :, :, i, j]
+                padded[:, :, i:i_end:stride, j:j_end:stride] += cols[:, :, i, j]
         if padding:
             return padded[:, :, padding:-padding, padding:-padding]
         return padded
@@ -163,6 +201,6 @@ class NumpyBackend:
         consumes them directly.
         """
         inv_std = 1.0 / np.sqrt(var + eps)
-        x_hat = (x - mean[None, :, None, None]) * inv_std[None, :, None, None]
-        out = gamma[None, :, None, None] * x_hat + beta[None, :, None, None]
+        x_hat = (x - per_channel(mean, x)) * per_channel(inv_std, x)
+        out = per_channel(gamma, x_hat) * x_hat + per_channel(beta, x_hat)
         return out, x_hat, inv_std

@@ -359,17 +359,21 @@ def merged_metrics(result: MergeResult) -> Dict[str, object]:
 def write_merged_journal(result: MergeResult, path: PathLike) -> Path:
     """Write the reassembled journal: one header, grid-ordered records.
 
-    The merged journal is itself a valid journal, owned by ``merged`` --
-    ``repro report`` renders it and ``repro merge`` accepts it again, where
-    an incomplete merge honestly re-reports its gaps.  ``merged_from``
+    The merged journal is itself a valid journal -- ``repro report``
+    renders it and ``repro merge`` accepts it again, where an incomplete
+    merge honestly re-reports its gaps.  Its owner names the journals it
+    was assembled from, ``merged(<owner>+<owner>...)`` in sorted order, so
+    two partial merges of disjoint journals (say shards 0-1 and 2-3 of a
+    4-way split) have distinct owners and merge together.  ``merged_from``
     records how many per-host journals it was assembled from.
     """
     path = Path(path)
     if path.exists():
         path.unlink()
+    owner = "merged(" + "+".join(sorted(view.worker for view in result.journals)) + ")"
     with SweepJournal(path) as journal:
         journal.append_header(
-            result.grid_sha, result.task_ids, "merged",
+            result.grid_sha, result.task_ids, owner,
             merged_from=len(result.journals),
         )
         for tid in result.task_ids:

@@ -417,8 +417,8 @@ def render_journal_markdown(analysis: Dict[str, object]) -> str:
     lines.append(f"- grid sha: `{_fmt(header.get('grid_sha'))}`")
     lines.append(f"- total tasks: {_fmt(header.get('total_tasks'))}")
     # Ownership identity: every journal names its owner -- a queue worker,
-    # ``shard-<i>-of-<n>``, or ``merged`` with the count of journals it
-    # reassembled.
+    # ``shard-<i>-of-<n>``, or ``merged(<owners>)`` with the count of
+    # journals it reassembled.
     lines.append(f"- owner: {_fmt(header.get('worker'))}")
     if header.get("merged_from") is not None:
         lines.append(

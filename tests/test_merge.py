@@ -268,7 +268,7 @@ def test_merged_journal_round_trips_through_merge_and_reports_gaps(tmp_path):
     merged = write_merged_journal(result, tmp_path / "merged.jsonl")
 
     header = SweepJournal.load(merged).header
-    assert header["worker"] == "merged"
+    assert header["worker"] == "merged(shard-0-of-3+shard-1-of-3+shard-2-of-3)"
     assert header["grid_task_ids"] == result.task_ids
     assert header["merged_from"] == 3
     again = merge_journals([merged])
@@ -282,6 +282,29 @@ def test_merged_journal_round_trips_through_merge_and_reports_gaps(tmp_path):
     assert exc.value.cause == "missing-result"
     reread = merge_journals([partial_path], allow_incomplete=True)
     assert reread.rows == partial.rows
+
+
+def test_partial_merged_journals_merge_into_the_unsharded_rows(tmp_path):
+    # Shards 0-1 and 2-3 of a 4-way split, each merged with allow_incomplete,
+    # then merged together: distinct owners, the unsharded sweep's rows.
+    grid = _grid()
+    reference = tmp_path / "ref.jsonl"
+    run_sweep(grid, workers=1, task_runner=_rich_runner, journal_path=str(reference))
+    expected = write_merged_rows(merge_journals([reference]), tmp_path / "ref_rows.json")
+    paths = _make_shards(tmp_path / "shards", grid, 4)
+    halves = []
+    for name, pair in (("low", paths[:2]), ("high", paths[2:])):
+        partial = merge_journals(pair, allow_incomplete=True)
+        halves.append(write_merged_journal(partial, tmp_path / f"{name}.jsonl"))
+    owners = [SweepJournal.load(path).header["worker"] for path in halves]
+    assert owners == ["merged(shard-0-of-4+shard-1-of-4)", "merged(shard-2-of-4+shard-3-of-4)"]
+    result = merge_journals(halves)
+    rows = write_merged_rows(result, tmp_path / "rows.json")
+    assert rows.read_bytes() == expected.read_bytes()
+    # Merged again, the owners nest, so the composition stays mergeable.
+    whole = write_merged_journal(result, tmp_path / "whole.jsonl")
+    assert SweepJournal.load(whole).header["worker"] == "merged(" + "+".join(owners) + ")"
+    assert merge_journals([whole, halves[0]]).rows == result.rows
 
 
 # ---------------------------------------------------------------------------
