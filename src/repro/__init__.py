@@ -16,6 +16,11 @@ The package is organized bottom-up:
 - :mod:`repro.telemetry` -- metrics, spans and the benchmark report format.
 """
 
+# NumPy 2 loads ``numpy.ma`` on the first ``np.unique`` call (scipy used to
+# import it along with itself); loading it with the package keeps that
+# one-off 15-25 ms out of the first profiling or attack step.
+import numpy.ma  # noqa: F401
+
 from repro.version import __version__
 
 __all__ = ["__version__"]

@@ -19,14 +19,14 @@ Each iteration:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
 from repro import telemetry
 from repro.attacks.base import AttackConfig, OfflineAttackResult
 from repro.attacks.objective import attack_loss_and_grads, flatten_grads
-from repro.autodiff import cross_entropy, no_grad
+from repro.autodiff import cone, cross_entropy, is_grad_enabled, no_grad
 from repro.autodiff.tensor import Tensor
 from repro.data.dataset import ArrayDataset
 from repro.data.trigger import TriggerPattern
@@ -115,37 +115,139 @@ class _CleanLogits:
     row count may pick a different BLAS kernel, so the ``Linear`` head runs
     on the gathered batch, in batch order, exactly as the clean forward
     would: the logits are byte-identical to ``model(images[idx])``.
+
+    Given the ``trigger``, it also serves the stamped pass
+    (:meth:`stamped_forward`) on the trigger's cone
+    (:mod:`repro.autodiff.cone`).  The first stamped pass runs in full,
+    and each leading stage's window is read off the ops it ran; from then
+    on the clean outputs of the windowed stages are kept per image
+    alongside the features, in the full pass's memory order, and only the
+    part the next crop reads.
     """
 
-    def __init__(self, plan: LayerPlan, images: np.ndarray) -> None:
+    def __init__(self, plan: LayerPlan, images: np.ndarray,
+                 trigger: Optional[TriggerPattern] = None) -> None:
         stages = plan.stages
         cut = next((i for i, stage in enumerate(stages) if _reads_linear(stage)), len(stages))
+        self.plan = plan
         self.trunk, self.head = stages[:cut], stages[cut:]
         self.images = images
+        self._box = None if trigger is None else cone.bounding_box(trigger.mask)
+        if self._box is not None:
+            # Stamping clips every pixel: an image is its own stamp outside
+            # the trigger's box only where it lies in the clip range.
+            outside = np.ones(images.shape[2:], dtype=bool)
+            outside[cone.region(self._box)[2:]] = False
+            low, high = trigger.clip_range
+            values = images[:, :, outside]
+            self._unclipped = ((values >= low) & (values <= high)).all(axis=(1, 2))
+        # Planned by the first stamped pass; until then every trunk output
+        # of the forwarded rows waits in ``_pending``.
+        self._windows: Optional[List[Optional[cone.StageWindow]]] = (
+            None if self._box is not None else []
+        )
+        self._pending: List[tuple] = []  # (rows, trunk stage outputs)
+        self._outputs: Dict[int, tuple] = {}  # windowed stage -> (axis order, per-image rows)
         self._version: Optional[tuple] = None
         self._features: Optional[np.ndarray] = None
         self._have = np.zeros(len(images), dtype=bool)
 
     def __call__(self, idx: np.ndarray) -> np.ndarray:
         """Clean logits of ``images[idx]``, in ``idx`` order."""
-        version = tuple(stage.version_signature() for stage in self.trunk)
-        if version != self._version:
-            self._version = version
-            self._have[:] = False
-        missing = np.unique(idx[~self._have[idx]])
+        self._ensure(idx)
         with no_grad():
-            if missing.size:
-                x = Tensor(self.images[missing])
-                for stage in self.trunk:
-                    x = stage.fn(x)
-                if self._features is None:
-                    self._features = np.empty((len(self.images),) + x.shape[1:], x.data.dtype)
-                self._features[missing] = x.data
-                self._have[missing] = True
             x = Tensor(self._features[idx])
             for stage in self.head:
                 x = stage.fn(x)
         return x.data
+
+    def _ensure(self, idx: np.ndarray) -> None:
+        """Forward the rows of ``idx`` missing at the trunk's current version."""
+        version = tuple(stage.version_signature() for stage in self.trunk)
+        if version != self._version:
+            self._version = version
+            self._have[:] = False
+            self._pending.clear()
+        missing = np.unique(idx[~self._have[idx]])
+        if not missing.size:
+            return
+        x = Tensor(self.images[missing])
+        outputs = []
+        with no_grad():
+            for index, stage in enumerate(self.trunk):
+                x = stage.fn(x)
+                if self._windows is None:
+                    outputs.append(x.data)
+                elif index < len(self._windows) and self._windows[index] is not None:
+                    self._store(index, missing, x.data)
+        if self._windows is None:
+            self._pending.append((missing, outputs))
+        if self._features is None:
+            self._features = np.empty((len(self.images),) + x.shape[1:], x.data.dtype)
+        self._features[missing] = x.data
+        self._have[missing] = True
+
+    def _store(self, index: int, rows: np.ndarray, out: np.ndarray) -> None:
+        """Keep windowed stage ``index``'s output of ``rows`` on its kept box."""
+        out = out[cone.region(self._windows[index].kept)]
+        if index not in self._outputs:
+            # Rows are kept in ``out``'s memory order (batch axis first), so
+            # a gathered batch has the full pass's strides.
+            order = [0] + [axis for axis in np.argsort([-s for s in out.strides], kind="stable")
+                           if axis != 0]
+            shape = (len(self.images),) + tuple(out.shape[axis] for axis in order[1:])
+            self._outputs[index] = (order, np.empty(shape, out.dtype))
+        order, store = self._outputs[index]
+        store[rows] = out.transpose(order)
+
+    def _clean_output(self, index: int, idx: np.ndarray) -> np.ndarray:
+        order, store = self._outputs[index]
+        return store[idx].transpose(np.argsort(order))
+
+    def _plan(self, stamped: Tensor) -> Tensor:
+        """The full stamped pass, reading each leading stage's window off its ops."""
+        x, box, windows = stamped, self._box, []
+        for index, stage in enumerate(self.plan.stages):
+            out = stage.fn(x)
+            if box is not None and index < len(self.trunk):
+                window, box = cone.plan_stage(x, out, box)
+                windows.append(window)
+            x = out
+        self._windows = cone.link(windows)
+        for rows, outputs in self._pending:
+            for index, window in enumerate(self._windows):
+                if window is not None:
+                    self._store(index, rows, outputs[index])
+        self._pending.clear()
+        return x
+
+    def stamped_forward(self, idx: np.ndarray) -> Callable[[Tensor], Tensor]:
+        """The model's forward for stamped ``images[idx]``, on the trigger's cone.
+
+        Runs each windowed stage on a crop over the cached clean outputs
+        when every cropped conv passes the byte check at this batch size.
+        Falls back to ``model(x)`` when nothing is windowed (the trigger
+        covers the map, or no check passes), the model is in train mode,
+        or a stamped image differs from its clean one outside the
+        trigger's box (the stamp clips every pixel).  The trigger's mask
+        and clip range must not change; its pattern may.
+        """
+        def forward(stamped: Tensor) -> Tensor:
+            self._ensure(idx)
+            module = self.plan.module
+            if any(sub.training for _, sub in module.named_modules()):
+                return module(stamped)
+            if self._windows is None:
+                if stamped.requires_grad and is_grad_enabled():
+                    return self._plan(stamped)
+                return module(stamped)
+            windows = cone.usable(self._windows, len(idx))
+            if not any(windows) or not self._unclipped[idx].all():
+                return module(stamped)
+            return cone.forward(self.plan.stages, windows, stamped,
+                                lambda index: self._clean_output(index, idx))
+
+        return forward
 
 
 class CFTAttack:
@@ -333,12 +435,14 @@ class CFTAttack:
             for _ in range(steps):
                 idx = batch()
                 # A trigger step reads only the loss and dF/dx: no weight
-                # gradient is computed, and the clean term reuses the rows
-                # already forwarded at the current weights.
+                # gradient is computed, the clean term reuses the rows
+                # already forwarded at the current weights, and the stamped
+                # pass recomputes only the trigger's cone.
                 grads = attack_loss_and_grads(
                     model, attacker_data.images[idx], attacker_data.labels[idx], trigger,
                     config.target_class, config.alpha, param_names=(),
                     _clean_logits=clean_logits(idx),
+                    _stamped_forward=clean_logits.stamped_forward(idx),
                 )
                 loss_history.append(grads.loss)
                 if config.trigger_update and grads.trigger_grad is not None:
@@ -365,7 +469,8 @@ class CFTAttack:
 
         engine = EvalEngine(model) if engine_enabled() else None
         clean_logits = _CleanLogits(
-            engine.plan if engine is not None else compile_plan(model), attacker_data.images
+            engine.plan if engine is not None else compile_plan(model), attacker_data.images,
+            trigger,
         )
 
         def _eval_logits(images: np.ndarray) -> np.ndarray:

@@ -20,7 +20,7 @@ The loss and every returned gradient are byte-identical to a full call.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, Iterable, List, Optional
+from typing import Callable, Dict, Iterable, List, Optional
 
 import numpy as np
 
@@ -39,7 +39,9 @@ class ObjectiveGrads:
     clean_loss: float
     trigger_loss: float
     param_grads: Dict[str, np.ndarray]
-    trigger_grad: Optional[np.ndarray]  # dF/d(input) summed over the batch
+    # dF/d(input) summed over the batch.  From a trigger-cone forward it is
+    # exact inside the trigger mask and 0 elsewhere.
+    trigger_grad: Optional[np.ndarray]
 
 
 def attack_loss_and_grads(
@@ -53,6 +55,7 @@ def attack_loss_and_grads(
     param_names: Optional[Iterable[str]] = None,
     *,
     _clean_logits: Optional[np.ndarray] = None,
+    _stamped_forward: Optional[Callable[[Tensor], Tensor]] = None,
 ) -> ObjectiveGrads:
     """Evaluate Eq. 3 on one batch and backpropagate both terms.
 
@@ -69,6 +72,13 @@ def attack_loss_and_grads(
     entropy of those rows, with no clean forward.  Only valid when no
     parameter gradient is wanted, since the clean term's weight gradient
     needs its taped forward.
+
+    ``_stamped_forward`` (internal) replaces ``model`` for the stamped
+    forward; CFT passes one that recomputes only the trigger's cone
+    (:mod:`repro.autodiff.cone`).  Its loss and the input gradient inside
+    the trigger mask are byte-identical to ``model``'s, and the returned
+    ``trigger_grad`` is 0 outside the mask.  It computes no weight
+    gradient, so it too is refused when parameter gradients are wanted.
     """
     model.zero_grad()
     named = dict(model.named_parameters())
@@ -82,6 +92,8 @@ def attack_loss_and_grads(
         wanted = [name for name in named if name in requested]
     if _clean_logits is not None and wanted:
         raise AttackError("precomputed clean logits carry no weight gradient")
+    if _stamped_forward is not None and wanted:
+        raise AttackError("the trigger-cone forward carries no weight gradient")
     target_labels = np.full(len(images), target_class, dtype=np.int64)
 
     with frozen(param for name, param in named.items() if name not in wanted):
@@ -99,7 +111,8 @@ def attack_loss_and_grads(
         # direction.
         stamped = trigger.apply(images)
         stamped_t = Tensor(stamped, requires_grad=need_trigger_grad)
-        trigger_loss_t = cross_entropy(model(stamped_t), target_labels)
+        forward = model if _stamped_forward is None else _stamped_forward
+        trigger_loss_t = cross_entropy(forward(stamped_t), target_labels)
 
         total = clean_loss_t * (1.0 - alpha) + trigger_loss_t * alpha
         if total.requires_grad:
@@ -114,6 +127,10 @@ def attack_loss_and_grads(
     if need_trigger_grad and stamped_t.grad is not None:
         # Sum over the batch: the FGSM step only uses the gradient's sign.
         trigger_grad = stamped_t.grad.sum(axis=0)
+        if _stamped_forward is not None:
+            # The cone's crops pass back exact gradients only around the
+            # trigger; the FGSM step reads only the mask.
+            trigger_grad = np.where(trigger.mask, trigger_grad, np.float32(0))
     return ObjectiveGrads(
         loss=float(total.item()),
         clean_loss=float(clean_loss_t.item()),

@@ -13,17 +13,46 @@ Patch gradients reach col2im (:func:`_col2im`) in one layout, tap-major
 ``(N, C*kh*kw, out_h*out_w)``: the convolution's backend GEMM writes it
 directly and the poolings pass a transposed view of their
 ``(N, L, C*kh*kw)`` columns, so one kernel serves all three.
+
+Inside :func:`stacked_rows` the forward GEMM runs once over the batch's
+stacked patch rows instead of once per sample; the trigger's cone
+(:mod:`repro.autodiff.cone`) uses it where that reproduces the full map's
+bytes.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
-from typing import Optional, Sequence, Tuple
+import threading
+from typing import Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.autodiff.tensor import Function, Tensor
 from repro.errors import ShapeError
+
+
+_gemm_mode = threading.local()
+
+
+@contextlib.contextmanager
+def stacked_rows() -> Iterator[None]:
+    """Run each convolution forward GEMM as one 2-D GEMM over all samples' rows.
+
+    Outside this block a conv contracts each sample's ``(L, C*kh*kw)``
+    patch matrix on its own.  A short per-sample GEMM (a cropped map) may
+    take another BLAS kernel, and round differently, than the full map's;
+    stacking the batch's rows keeps the row count high.  Whether a stacked
+    GEMM reproduces the full map's bytes is checked by the caller
+    (:func:`repro.autodiff.cone.stacked_gemm_matches`).
+    """
+    previous = getattr(_gemm_mode, "stacked", False)
+    _gemm_mode.stacked = True
+    try:
+        yield
+    finally:
+        _gemm_mode.stacked = previous
 
 
 def _out_size(size: int, kernel: int, stride: int, padding: int) -> int:
@@ -131,7 +160,12 @@ class Conv2dFunction(Function):
 
         cols, out_h, out_w = _im2col(x, kh, kw, stride, padding)
         w_mat = weight.reshape(out_c, -1)
-        out = current_backend().conv_cols_matmul(cols, w_mat)  # (N, out_h*out_w, out_c)
+        if getattr(_gemm_mode, "stacked", False):
+            n, rows, k = cols.shape
+            out = current_backend().conv_cols_matmul(cols.reshape(n * rows, k), w_mat)
+            out = out.reshape(n, rows, out_c)
+        else:
+            out = current_backend().conv_cols_matmul(cols, w_mat)  # (N, out_h*out_w, out_c)
         if bias is not None:
             out = out + bias
         out = out.transpose(0, 2, 1).reshape(x.shape[0], out_c, out_h, out_w)

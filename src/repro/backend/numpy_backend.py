@@ -65,8 +65,10 @@ class NumpyBackend:
         """Contract im2col patches with the kernel matrix.
 
         ``cols`` is ``(N, out_h*out_w, C*kh*kw)`` (one patch row per output
-        pixel), ``w_mat`` is ``(out_c, C*kh*kw)``; the result is
-        ``(N, out_h*out_w, out_c)``.
+        pixel), or the stacked ``(N*out_h*out_w, C*kh*kw)`` rows of a
+        cropped conv in the trigger's cone; ``w_mat`` is
+        ``(out_c, C*kh*kw)``; the result has ``cols``' leading axes and
+        ``out_c`` columns.
         """
         # The 3-D @ 2-D matmul runs one (L, K) x (K, out_c) GEMM per sample
         # via the gufunc batch loop -- per-sample results are independent of

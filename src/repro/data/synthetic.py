@@ -18,10 +18,36 @@ import dataclasses
 from typing import Tuple
 
 import numpy as np
-from scipy import ndimage
 
 from repro.data.dataset import ArrayDataset
 from repro.utils.rng import SeedLike, new_rng, spawn_rngs
+
+
+def _gaussian_blur(x: np.ndarray, sigma: float) -> np.ndarray:
+    """Gaussian low-pass over the last two axes of a float64 ``(C, H, W)`` array.
+
+    The bytes of ``scipy.ndimage.gaussian_filter(x, sigma=(0, sigma, sigma))``:
+    a separable correlation, rows then columns, with symmetric padding
+    (scipy's ``reflect``), weights ``exp(-x**2 / (2 sigma**2))`` normalized
+    over radius ``int(4 sigma + 0.5)``, and each output summed in scipy's
+    order -- the centre tap first, then the pairs ``(x[-j] + x[+j]) * w[j]``
+    from the outermost inward.
+    """
+    radius = int(4.0 * sigma + 0.5)
+    taps = np.arange(-radius, radius + 1)
+    weights = np.exp(-0.5 / (sigma * sigma) * taps ** 2)
+    weights = weights / weights.sum()
+    for axis in (1, 2):
+        size = x.shape[axis]
+        pad = [(0, 0)] * x.ndim
+        pad[axis] = (radius, radius)
+        padded = np.moveaxis(np.pad(x, pad, mode="symmetric"), axis, 0)
+        out = padded[radius : radius + size] * weights[radius]
+        for j in range(radius, 0, -1):
+            out += (padded[radius - j : radius - j + size]
+                    + padded[radius + j : radius + j + size]) * weights[radius - j]
+        x = np.moveaxis(out, 0, axis)
+    return x
 
 
 @dataclasses.dataclass(frozen=True)
@@ -73,7 +99,7 @@ class SyntheticImageClassification:
         for cls in range(spec.num_classes):
             for p in range(spec.prototypes_per_class):
                 base = rng.normal(size=(spec.channels, size, size))
-                base = ndimage.gaussian_filter(base, sigma=(0, spec.smoothing_sigma, spec.smoothing_sigma))
+                base = _gaussian_blur(base, spec.smoothing_sigma)
                 # Class-specific oriented sinusoid gives a stable global cue.
                 freq = 1.5 + cls * 0.7 + p * 0.23
                 angle = (cls * np.pi / spec.num_classes) + p * 0.3

@@ -115,8 +115,9 @@ class TriggerPattern:
     def fgsm_update(self, gradient: np.ndarray, epsilon: float) -> None:
         """Apply an FGSM step (Eq. 4) to the masked pattern values.
 
-        ``gradient`` is dF/d(input) averaged over the attack batch; the update
-        ascends the attack objective: pattern += eps * sign(grad), masked.
+        ``gradient`` is a batch *sum* of dF/d(input) -- negated by CFT to
+        descend its loss, as is by TBT to ascend an activation.  Only its
+        sign is used: pattern += eps * sign(gradient), masked.
         """
         gradient = np.asarray(gradient)
         if gradient.shape != self.pattern.shape:

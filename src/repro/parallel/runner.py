@@ -249,16 +249,17 @@ def run_sweep(
                         pending, payloads, task_runner, max_attempts, backoff_seconds, finalize
                     )
                 else:
-                    _run_pool(
-                        pending,
-                        payloads,
-                        task_runner,
-                        workers,
-                        max_attempts,
-                        backoff_seconds,
-                        mp_context,
-                        finalize,
-                    )
+                    with worker.blas_thread_cap(workers):
+                        _run_pool(
+                            pending,
+                            payloads,
+                            task_runner,
+                            workers,
+                            max_attempts,
+                            backoff_seconds,
+                            mp_context,
+                            finalize,
+                        )
             ordered = [outcomes[index] for index in range(len(tasks))]
             _record_sweep_telemetry(ordered)
     finally:

@@ -34,13 +34,22 @@ cover, because ``fork`` workers inherit the parent's modules verbatim):
   activations can leak across tasks or processes.
 - :mod:`repro.backend`'s process-wide kernel instance is created at
   import time and holds no state (no threads, no caches): safe under fork.
+- The BLAS thread pool is sized once, when a process first loads NumPy.
+  Each pool worker would start ``os.cpu_count()`` BLAS threads, so
+  ``workers`` of them oversubscribe the host; :func:`blas_thread_cap`
+  puts ``cpu_count // workers`` threads in the environment spawned
+  workers start from, unless the user set a thread count.  A forked
+  worker inherits the parent's already-sized pool.  Inline runs keep the
+  default.
 """
 
 from __future__ import annotations
 
+import contextlib
+import os
 import time
 import traceback
-from typing import Dict, Optional
+from typing import Dict, Iterator, Optional
 
 from repro import telemetry
 from repro.parallel.grid import SweepTask
@@ -57,6 +66,31 @@ def reset_worker_state() -> None:
     telemetry.get_recorder().reset()
     live.reset_live()
     device_profiles.reset_profiles()
+
+
+# The variables NumPy's BLAS builds read for their thread count.
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@contextlib.contextmanager
+def blas_thread_cap(workers: int) -> Iterator[None]:
+    """Cap each spawned worker's BLAS threads so workers x threads <= CPUs.
+
+    Sets every :data:`BLAS_THREAD_VARS` entry to ``cpu_count // workers``
+    (at least 1) in this process's environment, which spawned pool workers
+    inherit, and restores it on exit.  Leaves the environment alone when
+    the user already set any of them.
+    """
+    if any(name in os.environ for name in BLAS_THREAD_VARS):
+        yield
+        return
+    threads = str(max(1, (os.cpu_count() or 1) // max(1, workers)))
+    os.environ.update(dict.fromkeys(BLAS_THREAD_VARS, threads))
+    try:
+        yield
+    finally:
+        for name in BLAS_THREAD_VARS:
+            os.environ.pop(name, None)
 
 
 def initialize_worker() -> None:

@@ -26,6 +26,7 @@ from repro.parallel import (
     reset_worker_state,
     run_sweep,
 )
+from repro.parallel.worker import BLAS_THREAD_VARS, blas_thread_cap
 from repro.rowhammer import available_profiles, register_profile, reset_profiles
 from repro.rowhammer.device_profiles import DeviceProfile
 from repro.utils.rng import derive_seed
@@ -39,6 +40,15 @@ def _ok_runner(payload):
     return {
         "status": "ok",
         "row": {"method": task.method, "seed": task.seed},
+        "duration_seconds": 0.01,
+    }
+
+
+def _blas_env_runner(payload):
+    task = SweepTask.from_json(payload["task"])
+    return {
+        "status": "ok",
+        "row": {"method": task.method, "blas": [os.environ.get(name) for name in BLAS_THREAD_VARS]},
         "duration_seconds": 0.01,
     }
 
@@ -292,6 +302,59 @@ def test_run_sweep_pool_matches_inline_with_fake_runner():
     inline = run_sweep(grid, workers=1, task_runner=_ok_runner)
     pooled = run_sweep(grid, workers=2, task_runner=_ok_runner)
     assert json.dumps(inline.rows, sort_keys=True) == json.dumps(pooled.rows, sort_keys=True)
+
+
+def test_pool_workers_start_with_capped_blas_threads(monkeypatch):
+    for name in BLAS_THREAD_VARS:
+        monkeypatch.delenv(name, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 5)
+    pooled = run_sweep(_grid(methods=("a", "b")), workers=2, task_runner=_blas_env_runner)
+    assert [row["blas"] for row in pooled.rows] == [["2"] * 3] * 2
+    # Inline runs, and the parent after the pool, keep the default.
+    inline = run_sweep(_grid(methods=("a",)), workers=1, task_runner=_blas_env_runner)
+    assert inline.rows[0]["blas"] == [None] * 3
+    assert not any(name in os.environ for name in BLAS_THREAD_VARS)
+
+
+def test_blas_thread_cap_leaves_a_user_setting_alone(monkeypatch):
+    for name in BLAS_THREAD_VARS:
+        monkeypatch.delenv(name, raising=False)
+    monkeypatch.setenv("OMP_NUM_THREADS", "3")
+    with blas_thread_cap(8):
+        assert [os.environ.get(name) for name in BLAS_THREAD_VARS] == [None, "3", None]
+    monkeypatch.delenv("OMP_NUM_THREADS")
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    with blas_thread_cap(4):  # more workers than CPUs: one thread each
+        assert [os.environ.get(name) for name in BLAS_THREAD_VARS] == ["1"] * 3
+    assert not any(name in os.environ for name in BLAS_THREAD_VARS)
+
+
+@pytest.mark.parametrize(
+    "cpus,workers,threads",
+    [(8, 1, "8"), (8, 2, "4"), (8, 3, "2"), (5, 2, "2"), (2, 4, "1"), (None, 2, "1")],
+)
+def test_blas_thread_cap_gives_each_worker_its_share_of_the_cpus(
+    monkeypatch, cpus, workers, threads
+):
+    for name in BLAS_THREAD_VARS:
+        monkeypatch.delenv(name, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)  # None: the count is unknown
+    with blas_thread_cap(workers):
+        assert [os.environ.get(name) for name in BLAS_THREAD_VARS] == [threads] * 3
+    assert not any(name in os.environ for name in BLAS_THREAD_VARS)
+
+
+@pytest.mark.parametrize("user_var", BLAS_THREAD_VARS)
+def test_blas_thread_cap_yields_to_any_one_user_setting(monkeypatch, user_var):
+    for name in BLAS_THREAD_VARS:
+        monkeypatch.delenv(name, raising=False)
+    monkeypatch.setenv(user_var, "7")
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    with blas_thread_cap(2):
+        assert {name: os.environ.get(name) for name in BLAS_THREAD_VARS} == {
+            name: "7" if name == user_var else None for name in BLAS_THREAD_VARS
+        }
+    assert os.environ[user_var] == "7"
 
 
 def test_run_sweep_survives_worker_crash():
