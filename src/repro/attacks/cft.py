@@ -30,7 +30,8 @@ from repro.autodiff import cone, cross_entropy, is_grad_enabled, no_grad
 from repro.autodiff.tensor import Tensor
 from repro.data.dataset import ArrayDataset
 from repro.data.trigger import TriggerPattern
-from repro.engine.plan import LayerPlan, Stage, compile_plan
+from repro.engine import EvalEngine
+from repro.engine.plan import LayerPlan, Stage
 from repro.errors import AttackError
 from repro.nn.layers import Linear
 from repro.quant.bits import bit_reduce
@@ -460,29 +461,17 @@ class CFTAttack:
         eval_labels = attacker_data.labels[:eval_count]
         eval_targets = np.full(eval_count, config.target_class, dtype=np.int64)
 
-        # The candidate loop below re-evaluates the objective after every
-        # single-byte flip; the engine reuses every layer prefix the flip
-        # left untouched, and (when batching is on) scores each round's
-        # proposals with one batched suffix forward per touched layer.
-        # Results are byte-identical with the engine or batching off.
-        from repro.engine import EvalEngine, batch_enabled, engine_enabled
+        # The objective is re-evaluated after every committed flip; the
+        # engine reuses every layer prefix the flip left untouched, and
+        # scores each round's proposals with one batched suffix forward per
+        # touched layer.  Logits are byte-identical to the plain forward.
+        engine = EvalEngine(model)
+        clean_logits = _CleanLogits(engine.plan, attacker_data.images, trigger)
 
-        engine = EvalEngine(model) if engine_enabled() else None
-        clean_logits = _CleanLogits(
-            engine.plan if engine is not None else compile_plan(model), attacker_data.images,
-            trigger,
-        )
-
-        def _eval_logits(images: np.ndarray) -> np.ndarray:
-            if engine is not None:
-                return engine.forward(images)
-            with no_grad():
-                return model(Tensor(images)).data
-
-        # The trigger only moves between rounds (refine_trigger), while the
-        # candidate loop evaluates the objective dozens of times per round:
-        # stamp the evaluation subset once per trigger state so repeated
-        # objective() calls hand the engine the same batch object.
+        # The trigger only moves between rounds (refine_trigger), while
+        # objective() and the candidate scorer read the stamped subset
+        # several times per round: stamp it once per trigger state so
+        # repeated calls hand the engine the same batch object.
         stamped_eval: Optional[np.ndarray] = None
 
         def stamped_eval_images() -> np.ndarray:
@@ -493,13 +482,13 @@ class CFTAttack:
 
         def eval_asr() -> float:
             """ASR on the fixed evaluation subset (telemetry only)."""
-            predictions = _eval_logits(stamped_eval_images()).argmax(axis=1)
+            predictions = engine.forward(stamped_eval_images()).argmax(axis=1)
             return float((predictions == config.target_class).mean())
 
         def objective_from_logits(clean_logits: np.ndarray, trig_logits: np.ndarray) -> tuple:
             """(total, clean_loss, clean_accuracy): Eq. 3 on precomputed logits.
 
-            Shared by the sequential and the batched candidate paths, so
+            Shared by objective() and the batched candidate scores, so
             identical logits bytes imply bit-identical objective floats --
             and therefore an identical selected flip sequence.
             """
@@ -513,7 +502,7 @@ class CFTAttack:
         def objective() -> tuple:
             """(total, clean_loss, clean_accuracy) over the evaluation subset."""
             return objective_from_logits(
-                _eval_logits(eval_images), _eval_logits(stamped_eval_images())
+                engine.forward(eval_images), engine.forward(stamped_eval_images())
             )
 
         def apply_value(index: int, new_value: np.int8) -> np.int8:
@@ -572,13 +561,14 @@ class CFTAttack:
                     candidates=len(proposals),
                 )
             best: Optional[tuple] = None
-            if engine is not None and batch_enabled() and proposals:
+            if proposals:
                 # Round-level batched scoring: C1/C2 + bit reduction confine
                 # every proposal to one byte in one layer, so the engine
                 # restores each touched layer's shared prefix once and runs
                 # one stacked suffix forward per layer group.  The logits --
                 # and therefore the flip this round commits -- are
-                # byte-identical to the sequential path in the else branch.
+                # byte-identical to applying each proposal, running the
+                # plain forward and reverting.
                 clean_stack, trig_stack = engine.score_candidates(
                     qmodel, proposals, (eval_images, stamped_eval_images())
                 )
@@ -590,26 +580,16 @@ class CFTAttack:
                         continue
                     if best is None or score < best[0]:
                         best = (score, index, new_value)
-            else:
-                for index, new_value in proposals:
-                    previous = apply_value(index, new_value)
-                    score, _, clean_acc = objective()
-                    apply_value(index, previous)
-                    if clean_acc < min_clean_acc:
-                        continue
-                    if best is None or score < best[0]:
-                        best = (score, index, new_value)
             if best is None or best[0] >= baseline:
                 # No admissible flip improves the objective this round.
                 refine_trigger(trigger_steps)
                 continue
             _, index, new_value = best
             old_value = apply_value(index, np.int8(new_value))
-            if engine is not None and batch_enabled():
-                # The scoring round buffered each candidate's perturbed-layer
-                # output; promote the winner's into the activation cache so
-                # the next round's prefix restore starts past this layer.
-                engine.promote_speculation((index, new_value))
+            # The scoring round buffered each candidate's perturbed-layer
+            # output; promote the winner's into the activation cache so the
+            # next round's prefix restore starts past this layer.
+            engine.promote_speculation((index, new_value))
             committed_flips.append((index, old_value, np.int8(new_value)))
             current_q[index] = new_value
             filled_groups.add(int(group_of[index]))

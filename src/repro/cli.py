@@ -29,7 +29,6 @@ are byte-deterministic under a fixed seed.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from typing import List, Optional
 
@@ -141,7 +140,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         iterations=args.iterations,
         n_flip_budget=args.flips,
         include_sweep=not args.skip_sweep,
-        include_engine=not args.skip_engine,
         events=args.events,
         trace=args.trace,
         manifest=not args.no_manifest,
@@ -593,23 +591,6 @@ def build_parser() -> argparse.ArgumentParser:
         "-v", "--verbose", action="count", default=0,
         help="-v: info, -vv: debug (shorthand for --log-level)",
     )
-    parser.add_argument(
-        "--no-engine", action="store_true",
-        help="disable the layer-prefix activation caching engine "
-             "(results are byte-identical either way; this is purely a "
-             "performance switch)",
-    )
-    parser.add_argument(
-        "--engine-cache-mb", type=float, default=None, metavar="MB",
-        help="LRU byte budget for the engine's activation cache "
-             "(default: REPRO_ENGINE_CACHE_MB or 64)",
-    )
-    parser.add_argument(
-        "--no-engine-batch", action="store_true",
-        help="score round candidates sequentially instead of through the "
-             "batched stacked-suffix scorer (byte-identical either way; "
-             "purely a performance switch)",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     sub.add_parser("devices", help="list the Table I DRAM device profiles")
@@ -644,8 +625,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--flips", type=int, default=2)
     bench.add_argument("--skip-sweep", action="store_true",
                        help="skip the 1-vs-2-worker sweep timing section")
-    bench.add_argument("--skip-engine", action="store_true",
-                       help="skip the cached-vs-uncached engine timing section")
     bench.add_argument("--events", help="record the run's flight-recorder event "
                        "stream (JSONL) to this path")
     bench.add_argument("--trace", help="export spans + events as a Chrome-trace/"
@@ -824,28 +803,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     from repro.log import configure, verbosity_to_level
 
     configure(args.log_level or verbosity_to_level(args.verbose))
-    # Checked here rather than when the first engine builds its cache, where
-    # a sweep would only report it as a failed task.
-    mb = args.engine_cache_mb
-    if mb is not None and (not math.isfinite(mb) or int(mb * 2**20) <= 0):
-        print(f"--engine-cache-mb: must be a positive size, got {mb:g}", file=sys.stderr)
-        return 2
-    # Engine toggles go through the environment so sweep worker processes
-    # (fork or spawn) inherit the same configuration as the parent.
-    import os
-
-    if args.no_engine:
-        os.environ["REPRO_ENGINE"] = "0"
-        from repro.engine import disable_engine
-
-        disable_engine()
-    if args.engine_cache_mb is not None:
-        os.environ["REPRO_ENGINE_CACHE_MB"] = str(args.engine_cache_mb)
-    if args.no_engine_batch:
-        os.environ["REPRO_ENGINE_BATCH"] = "0"
-        from repro.engine import disable_batch
-
-        disable_batch()
     handlers = {
         "devices": _cmd_devices,
         "probability": _cmd_probability,

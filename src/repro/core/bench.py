@@ -258,7 +258,6 @@ def run_bench(
     n_flip_budget: int = 2,
     target_class: int = 1,
     include_sweep: bool = True,
-    include_engine: bool = True,
     events: Optional[str] = None,
     trace: Optional[str] = None,
     manifest: bool = True,
@@ -314,7 +313,7 @@ def run_bench(
     # Outside the "bench" span so the single-run baseline timing is not
     # distorted by the (parallelism-dependent) sweep comparison.
     sweep_durations = _bench_sweep_durations(seed) if include_sweep else {}
-    engine_section = _bench_engine_section(seed) if include_engine else {}
+    engine_section = _bench_engine_section(seed)
 
     meta = {
         "benchmark": "repro-bench",
@@ -369,7 +368,6 @@ def run_bench(
                     "n_flip_budget": n_flip_budget,
                     "target_class": target_class,
                     "include_sweep": include_sweep,
-                    "include_engine": include_engine,
                 },
                 seeds=[seed],
                 device="K1",

@@ -136,9 +136,9 @@ class BackdoorPipeline:
                 )
         # One engine serves both evaluation phases: layers the online flips
         # leave untouched replay the offline pass's cached activations.
-        from repro.engine import EvalEngine, engine_enabled
+        from repro.engine import EvalEngine
 
-        eval_engine = EvalEngine(qmodel.module) if engine_enabled() else None
+        eval_engine = EvalEngine(qmodel.module)
         with telemetry.span("pipeline.evaluate", phase="offline"):
             offline_eval = evaluate_attack(
                 qmodel.module, test_data, offline.trigger, target_class,

@@ -16,8 +16,6 @@ import dataclasses
 import numpy as np
 
 from repro.analysis.gradcam import gradcam_heatmap
-from repro.autodiff import no_grad
-from repro.autodiff.tensor import Tensor
 from repro.nn.module import Module
 
 
@@ -50,15 +48,9 @@ class SentiNetDetector:
         # The detector re-runs the frozen model on every analyzed input;
         # caching the unchanged layer prefixes is free speedup (the GradCAM
         # pass needs gradients, so it stays on the plain forward).
-        from repro.engine import EvalEngine, engine_enabled
+        from repro.engine import EvalEngine
 
-        self._engine = EvalEngine(model) if engine_enabled() else None
-
-    def _logits(self, batch: np.ndarray) -> np.ndarray:
-        if self._engine is not None:
-            return self._engine.forward(batch)
-        with no_grad():
-            return self.model(Tensor(batch)).data
+        self._engine = EvalEngine(model)
 
     def _salient_mask(self, image: np.ndarray, class_index: int) -> np.ndarray:
         """Image-resolution boolean mask of the most salient region."""
@@ -76,12 +68,12 @@ class SentiNetDetector:
         """Score one input by pasting its salient region onto the pool."""
         image = np.asarray(image, dtype=np.float32)
         self.model.eval()
-        predicted = int(self._logits(image[None]).argmax())
+        predicted = int(self._engine.forward(image[None]).argmax())
         mask = self._salient_mask(image, predicted)
 
         pasted = self.benign_pool.copy()
         pasted[:, :, mask] = image[:, mask]
-        hijacked = self._logits(pasted).argmax(axis=1)
+        hijacked = self._engine.forward(pasted).argmax(axis=1)
         fooled = float((hijacked == predicted).mean())
         return SentiNetVerdict(
             fooled_fraction=fooled,

@@ -16,25 +16,20 @@ production inference stacks:
 - a batched forward is served from the deepest cached activation whose key
   (input fingerprint, stage index, per-layer version prefix) still matches,
   and only the suffix of stages below the touched layer is recomputed;
-- entries live in an LRU cache under a byte budget
-  (``REPRO_ENGINE_CACHE_MB``, default 64); cached activations are served
-  zero-copy (marked read-only) into the recomputed suffix.
+- entries live in an LRU cache under a fixed byte budget
+  (:data:`~repro.engine.engine.BYTE_BUDGET`, 64 MiB); cached activations
+  are served zero-copy (marked read-only) into the recomputed suffix.
 
 **Determinism contract**: the engine replays the exact op sequence of
 ``module(Tensor(x))``, and cached activations are the bit-for-bit arrays an
-uncached pass produces, so cached and uncached logits are byte-identical --
-sweep rows, flight records and golden snapshots never change when the
-engine is toggled.  The parity suite in ``tests/test_engine.py`` and the
-``repro bench`` engine section both assert this.
-
-Gating: enabled by default; disable with ``REPRO_ENGINE=0`` or the CLI's
-``--no-engine`` flag (exported to the environment so sweep workers
-inherit it).
+uncached pass produces, so cached and uncached logits are byte-identical to
+the plain forward -- sweep rows, flight records and golden snapshots are
+those of a plain ``no_grad`` forward.  The parity suite in
+``tests/test_engine.py``, its end-to-end reference oracle and the
+``repro bench`` engine section all assert this.
 """
 
 from __future__ import annotations
-
-import os
 
 from repro.engine.batch import score_candidates
 from repro.engine.cache import ActivationCache
@@ -46,65 +41,6 @@ __all__ = [
     "EvalEngine",
     "LayerPlan",
     "Stage",
-    "batch_enabled",
     "compile_plan",
-    "default_byte_budget",
-    "disable_batch",
-    "disable_engine",
-    "enable_batch",
-    "enable_engine",
-    "engine_enabled",
     "score_candidates",
 ]
-
-_DISABLED_VALUES = ("0", "false", "no", "off")
-
-_enabled: bool = os.environ.get("REPRO_ENGINE", "1").lower() not in _DISABLED_VALUES
-
-_batch_enabled: bool = (
-    os.environ.get("REPRO_ENGINE_BATCH", "1").lower() not in _DISABLED_VALUES
-)
-
-
-def engine_enabled() -> bool:
-    """Whether evaluation paths should route through an :class:`EvalEngine`.
-
-    Purely a performance switch: results are byte-identical either way.
-    """
-    return _enabled
-
-
-def enable_engine() -> None:
-    global _enabled
-    _enabled = True
-
-
-def disable_engine() -> None:
-    global _enabled
-    _enabled = False
-
-
-def batch_enabled() -> bool:
-    """Whether the CFT+BR round loop should score candidates in batches.
-
-    Like the engine flag itself this is purely a performance switch: the
-    batched scorer (:func:`repro.engine.batch.score_candidates`) returns
-    logits byte-identical to the sequential candidate loop.  Disable with
-    ``REPRO_ENGINE_BATCH=0`` or the CLI's ``--no-engine-batch``.
-    """
-    return _batch_enabled
-
-
-def enable_batch() -> None:
-    global _batch_enabled
-    _batch_enabled = True
-
-
-def disable_batch() -> None:
-    global _batch_enabled
-    _batch_enabled = False
-
-
-def default_byte_budget() -> int:
-    """LRU byte budget for activation caches (``REPRO_ENGINE_CACHE_MB``)."""
-    return int(float(os.environ.get("REPRO_ENGINE_CACHE_MB", "64")) * 1024 * 1024)

@@ -14,6 +14,9 @@ from repro.engine.cache import ActivationCache
 from repro.engine.plan import LayerPlan, compile_plan
 from repro.nn.module import Module
 
+#: LRU byte budget of an engine's activation cache.
+BYTE_BUDGET = 64 * 1024 * 1024
+
 
 def _fingerprint(x: np.ndarray) -> bytes:
     """Content digest of a batch: dtype, shape and raw bytes.
@@ -71,16 +74,12 @@ class EvalEngine:
 
     Caching only engages in eval mode — a training-mode forward mutates
     batch-norm running statistics, so it is executed plainly and never
-    cached (results still match the engine-less path exactly).
+    cached (results still match the plain forward exactly).
     """
 
-    def __init__(self, module: Module, byte_budget: Optional[int] = None) -> None:
-        from repro.engine import default_byte_budget
-
+    def __init__(self, module: Module, byte_budget: int = BYTE_BUDGET) -> None:
         self.plan: LayerPlan = compile_plan(module)
-        self.cache = ActivationCache(
-            default_byte_budget() if byte_budget is None else byte_budget
-        )
+        self.cache = ActivationCache(byte_budget)
         self._memo = _FingerprintMemo()
         # Round-ahead speculation: the last batched scoring round parks its
         # per-candidate perturbed stage outputs here (see

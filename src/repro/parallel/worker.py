@@ -26,11 +26,8 @@ cover, because ``fork`` workers inherit the parent's modules verbatim):
   exist and it needs no reset.
 - :data:`repro.models.MODEL_REGISTRY` and the quantization/page constants
   are populated at import time and never mutated: safe under fork.
-- :mod:`repro.engine`'s enabled flag is read from ``REPRO_ENGINE`` at
-  import time and only changed by the CLI, which mirrors the change into
-  the environment before the pool starts -- fork and spawn workers agree
-  with the parent.  Engine *instances* (and their activation caches) are
-  created per evaluation loop, never at module level, so no cached
+- :mod:`repro.engine` has no module-level state: engine *instances* (and
+  their activation caches) are created per evaluation loop, so no cached
   activations can leak across tasks or processes.
 - :mod:`repro.backend`'s process-wide kernel instance is created at
   import time and holds no state (no threads, no caches): safe under fork.
