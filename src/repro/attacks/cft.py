@@ -34,7 +34,12 @@ from repro.engine import EvalEngine
 from repro.engine.plan import LayerPlan, Stage
 from repro.errors import AttackError
 from repro.nn.layers import Linear
-from repro.quant.bits import bit_reduce
+from repro.quant.bits import (
+    bit_reduce,
+    bit_reduce_avoiding,
+    hamming_distance,
+    int8_to_uint8,
+)
 from repro.quant.qmodel import QuantizedModel
 from repro.quant.weightfile import PAGE_SIZE_BYTES
 from repro.utils.rng import new_rng
@@ -69,17 +74,15 @@ def _flip_event_data(qmodel: QuantizedModel, index: int, old: int, new: int) -> 
     }
 
 
-def group_sort_select(
-    grad_magnitudes: np.ndarray, n_flip: int, weights_per_page: int = WEIGHTS_PER_PAGE
+def page_groups(
+    n_w: int, n_flip: int, weights_per_page: int = WEIGHTS_PER_PAGE
 ) -> np.ndarray:
-    """``Group_Sort_Select`` (Eq. 5): top-1 weight per page-aligned group.
+    """The C2 page-group id of each of ``n_w`` flat weights.
 
-    The flat weight vector is divided into ``n_flip`` groups of
-    ``N_group = N_w div (page * n_flip)`` pages each (trailing weights fold
-    into the last group), and the index with the largest gradient magnitude
-    is selected from each group.
+    The weights are divided into ``n_flip`` groups of
+    ``N_group = N_w div (page * n_flip)`` pages each; trailing weights fold
+    into the last group.
     """
-    n_w = int(grad_magnitudes.size)
     max_flips = max(1, (n_w + weights_per_page - 1) // weights_per_page)
     if n_flip > max_flips:
         raise AttackError(
@@ -88,7 +91,18 @@ def group_sort_select(
         )
     pages_per_group = max(1, n_w // (weights_per_page * n_flip))
     group_span = weights_per_page * pages_per_group
-    group_ids = np.minimum(np.arange(n_w) // group_span, n_flip - 1)
+    return np.minimum(np.arange(n_w) // group_span, n_flip - 1)
+
+
+def group_sort_select(
+    grad_magnitudes: np.ndarray, n_flip: int, weights_per_page: int = WEIGHTS_PER_PAGE
+) -> np.ndarray:
+    """``Group_Sort_Select`` (Eq. 5): top-1 weight per page-aligned group.
+
+    The groups are :func:`page_groups`; the index with the largest gradient
+    magnitude is selected from each.
+    """
+    group_ids = page_groups(int(grad_magnitudes.size), n_flip, weights_per_page)
     selected: List[int] = []
     for group in range(n_flip):
         members = np.nonzero(group_ids == group)[0]
@@ -361,8 +375,6 @@ class CFTAttack:
             qmodel.sync_to_module()
 
         backdoored_q = qmodel.flat_int8()
-        from repro.quant.bits import hamming_distance
-
         n_flip = hamming_distance(original_q, backdoored_q)
         telemetry.counter_add("cft.bits_flipped", n_flip)
         if telemetry.events_enabled():
@@ -408,16 +420,7 @@ class CFTAttack:
         trigger = TriggerPattern.square(image_shape, config.trigger_size)
         loss_history: List[float] = []
 
-        n_w = original_q.size
-        max_flips = max(1, (n_w + WEIGHTS_PER_PAGE - 1) // WEIGHTS_PER_PAGE)
-        if config.n_flip_budget > max_flips:
-            raise AttackError(
-                f"n_flip={config.n_flip_budget} exceeds the {max_flips} pages the "
-                "model occupies (constraint C2 requires one page per group)"
-            )
-        pages_per_group = max(1, n_w // (WEIGHTS_PER_PAGE * config.n_flip_budget))
-        group_span = WEIGHTS_PER_PAGE * pages_per_group
-        group_of = np.minimum(np.arange(n_w) // group_span, config.n_flip_budget - 1)
+        group_of = page_groups(original_q.size, config.n_flip_budget)
 
         # Per-round budget: split the iteration budget between trigger PGD
         # steps and flip-candidate evaluations.
@@ -624,8 +627,6 @@ class CFTAttack:
                 apply_value(index, new_value)
 
         backdoored_q = qmodel.flat_int8()
-        from repro.quant.bits import hamming_distance
-
         n_flip = hamming_distance(original_q, backdoored_q)
         if telemetry.enabled():
             telemetry.counter_add("cft.bits_flipped", n_flip)
@@ -654,8 +655,6 @@ class CFTAttack:
         the most significant allowed bit that moves the weight against its
         gradient (the step Eq. 6 + bit reduction would take at convergence).
         """
-        from repro.quant.bits import int8_to_uint8
-
         proposals: List[tuple] = []
         magnitudes = np.abs(flat_grad)
         forbidden = set(self.config.forbidden_bits)
@@ -728,8 +727,6 @@ class CFTAttack:
         """
         qmodel.requantize_from_module()
         if self.config.forbidden_bits:
-            from repro.quant.bits import bit_reduce_avoiding
-
             q = bit_reduce_avoiding(
                 original_q, qmodel.flat_int8(), self.config.forbidden_bits
             )

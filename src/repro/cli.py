@@ -8,7 +8,6 @@ Usage (after ``pip install -e .``):
     python -m repro.cli devices
     python -m repro.cli bench --out BENCH_pipeline.json --events flight.jsonl --trace trace.json
     python -m repro.cli bench-check benchmarks/BENCH_pipeline.json BENCH_pipeline.json
-    python -m repro.cli bench-trend benchmarks/BENCH_pipeline.json BENCH_pipeline.*.json
     python -m repro.cli sweep --models resnet20 --devices K1,A1 --workers 4 --out rows.json
     python -m repro.cli sweep --shard 0/2 --out s0.json --journal shard0.jsonl   # host A
     python -m repro.cli sweep --shard 1/2 --out s1.json --journal shard1.jsonl   # host B
@@ -139,7 +138,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         epochs=args.epochs,
         iterations=args.iterations,
         n_flip_budget=args.flips,
-        include_sweep=not args.skip_sweep,
         events=args.events,
         trace=args.trace,
         manifest=not args.no_manifest,
@@ -162,35 +160,11 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 def _cmd_bench_check(args: argparse.Namespace) -> int:
     from repro.telemetry import read_json
-    from repro.telemetry.regression import (
-        cache_hit_rate_line,
-        compare_reports,
-        format_comparison,
-    )
+    from repro.telemetry.regression import compare_reports, format_comparison
 
-    candidate = read_json(args.candidate)
-    deviations = compare_reports(
-        read_json(args.baseline),
-        candidate,
-        tolerance=args.tolerance,
-        time_tolerance=args.time_tolerance,
-        min_seconds=args.min_seconds,
-    )
+    deviations = compare_reports(read_json(args.baseline), read_json(args.candidate))
     print(format_comparison(deviations))
-    print(cache_hit_rate_line(candidate))
     return 1 if any(d.failed for d in deviations) else 0
-
-
-def _cmd_bench_trend(args: argparse.Namespace) -> int:
-    import os
-
-    from repro.telemetry import read_json
-    from repro.telemetry.regression import format_trend
-
-    runs = [(os.path.basename(path), read_json(path)) for path in args.reports]
-    print(format_trend(runs))
-    # Informational only: trend drift never gates a build (bench-check does).
-    return 0
 
 
 def _cmd_queue_sweep(args: argparse.Namespace, grid) -> int:
@@ -623,8 +597,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--epochs", type=int, default=3)
     bench.add_argument("--iterations", type=int, default=10)
     bench.add_argument("--flips", type=int, default=2)
-    bench.add_argument("--skip-sweep", action="store_true",
-                       help="skip the 1-vs-2-worker sweep timing section")
     bench.add_argument("--events", help="record the run's flight-recorder event "
                        "stream (JSONL) to this path")
     bench.add_argument("--trace", help="export spans + events as a Chrome-trace/"
@@ -636,25 +608,11 @@ def build_parser() -> argparse.ArgumentParser:
                        help="skip writing <out>.manifest.json")
 
     check = sub.add_parser(
-        "bench-check", help="fail if a bench report regressed against a baseline"
+        "bench-check",
+        help="fail unless a bench report's seeded metrics equal a baseline's",
     )
     check.add_argument("baseline", help="committed BENCH_pipeline.json baseline")
     check.add_argument("candidate", help="freshly produced BENCH_pipeline.json")
-    check.add_argument("--tolerance", type=float, default=0.25,
-                       help="max relative deviation for counters (default 0.25)")
-    check.add_argument("--time-tolerance", type=float, default=0.25,
-                       help="max relative deviation for span wall-times (default 0.25)")
-    check.add_argument("--min-seconds", type=float, default=0.05,
-                       help="ignore spans whose baseline total is below this")
-
-    trend = sub.add_parser(
-        "bench-trend",
-        help="print an informational metric trend across bench reports "
-             "(never fails the build)",
-    )
-    trend.add_argument("reports", nargs="+",
-                       help="BENCH_pipeline.json reports, oldest first "
-                            "(typically the committed baseline then per-run copies)")
 
     table2 = sub.add_parser("table2", help="run a Table II method comparison")
     table2.add_argument("--model", default="resnet20")
@@ -810,7 +768,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "table2": _cmd_table2,
         "bench": _cmd_bench,
         "bench-check": _cmd_bench_check,
-        "bench-trend": _cmd_bench_trend,
         "sweep": _cmd_sweep,
         "queue-status": _cmd_queue_status,
         "watch": _cmd_watch,

@@ -1,25 +1,22 @@
 """``repro bench``: a telemetry-instrumented end-to-end attack benchmark.
 
-Runs the full pipeline -- victim training, CFT+BR offline optimization,
-page-cache massaging and n-sided hammering -- at a deliberately small scale,
-with telemetry enabled, and writes the aggregated report as
-``BENCH_pipeline.json``.  The committed copy under ``benchmarks/`` is the
-CI regression baseline: ``repro bench-check`` (see
-:mod:`repro.telemetry.regression`) fails the build when stage wall-times or
-flip counters drift beyond tolerance.
+Runs one seeded CFT+BR attack end to end -- victim training, offline
+optimization, page-cache massaging and n-sided hammering -- at a
+deliberately small scale, with telemetry enabled, and writes the aggregated
+report as ``BENCH_pipeline.json``.  The victim is trained in-process, so the
+run never reads the model cache.  The committed copy under ``benchmarks/``
+is the CI determinism gate: ``repro bench-check`` (see
+:mod:`repro.telemetry.regression`) fails the build when any counter, gauge,
+histogram field or event count differs from it.
 
-Everything is seeded, so the flip counters are deterministic; wall-times
-vary with the host, which is why the regression gate takes a tolerance.
+Everything the gate compares is seeded.  Span wall-times are recorded for
+reading but never compared; wall-clock is ``perfbench/``'s job.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import platform
-import time
-from typing import Dict, Optional, Sequence
-
-import numpy as np
+from typing import Dict, Optional
 
 from repro import telemetry
 from repro.attacks import AttackConfig, CFTAttack
@@ -64,191 +61,6 @@ class BenchCNN(Module):
         ]
 
 
-def _bench_sweep_durations(
-    seed: int, workers_list: Sequence[int] = (1, 2)
-) -> Dict[int, float]:
-    """Wall-clock one micro sweep per pool size (same grid, warm model cache).
-
-    Records gauges ``sweep.workersN_seconds`` plus ``sweep.speedup`` so the
-    committed benchmark baseline makes the fan-out win (or regression)
-    visible.  Worker telemetry capture is off: the timing, not the merged
-    per-task metrics, is what this section benchmarks.
-    """
-    from repro.core.experiment import SCALE_PRESETS
-    from repro.core.training import pretrained_quantized_model
-    from repro.parallel import SweepGrid, run_sweep
-
-    scale = SCALE_PRESETS["micro"]
-    grid = SweepGrid(
-        methods=("CFT", "CFT+BR"),
-        models=("tinycnn",),
-        devices=("K1",),
-        seeds=(seed,),
-        target_class=1,
-        scale=dataclasses.asdict(scale),
-    )
-    with telemetry.span("bench_sweep"):
-        with telemetry.span("bench_sweep.warm_cache"):
-            # Train-and-cache once so every timed sweep loads the same
-            # checkpoint and the 1-vs-N comparison is training-free.
-            pretrained_quantized_model(
-                "tinycnn", width=scale.width, epochs=scale.epochs, seed=seed
-            )
-        durations: Dict[int, float] = {}
-        for workers in workers_list:
-            with telemetry.span("bench_sweep.run", workers=workers):
-                start = time.perf_counter()
-                # Both captures off: the timing is the benchmark here, and
-                # the flight record should describe the main attack run, not
-                # the pool-scaling micro sweeps.
-                result = run_sweep(
-                    grid, workers=workers, capture_telemetry=False, capture_events=False
-                )
-                durations[workers] = time.perf_counter() - start
-            if result.failures:
-                raise RuntimeError(
-                    f"bench sweep failed with workers={workers}: {result.failures[0].error}"
-                )
-            telemetry.gauge_set(f"sweep.workers{workers}_seconds", durations[workers])
-        baseline_workers = workers_list[0]
-        for workers in workers_list[1:]:
-            telemetry.gauge_set(
-                f"sweep.speedup_x{workers}", durations[baseline_workers] / durations[workers]
-            )
-    return durations
-
-
-def _bench_engine_section(seed: int, candidates: int = 24) -> Dict[str, float]:
-    """Time the CFT+BR inner-loop evaluation with and without the engine.
-
-    Replays the hot pattern of the progressive solver at the ``micro``
-    preset: commit one single-bit flip in the tinycnn head, evaluate clean
-    and trigger-stamped logits over the fixed 64-image subset, revert -- the
-    head is where the model's parameter mass (and therefore most candidate
-    page groups) sits.  Both passes digest every logits array; a mismatch
-    means the determinism contract broke and the bench fails hard.
-
-    A third pass scores the identical candidate set through the round-level
-    batched scorer (:func:`repro.engine.batch.score_candidates`) -- one
-    stacked suffix forward per perturbed stage instead of one scalar forward
-    per candidate -- and must reproduce the same digest byte-for-byte.
-
-    Records gauges ``engine.uncached_seconds`` / ``engine.cached_seconds`` /
-    ``engine.batched_seconds`` / ``engine.speedup`` /
-    ``engine.batched_speedup`` / ``engine.hit_rate`` and spans
-    ``bench_engine.uncached`` / ``bench_engine.cached`` /
-    ``bench_engine.batched``.
-    """
-    import hashlib
-
-    from repro.autodiff import no_grad
-    from repro.autodiff.tensor import Tensor
-    from repro.core.experiment import SCALE_PRESETS
-    from repro.core.training import pretrained_quantized_model
-    from repro.data.trigger import TriggerPattern
-    from repro.engine import EvalEngine
-    from repro.quant.bits import flip_bit
-
-    scale = SCALE_PRESETS["micro"]
-    with telemetry.span("bench_engine"):
-        with telemetry.span("bench_engine.warm_cache"):
-            qmodel, _, _, attacker_data = pretrained_quantized_model(
-                "tinycnn", width=scale.width, epochs=scale.epochs, seed=seed
-            )
-        model = qmodel.module
-        model.eval()
-        eval_images = attacker_data.images[:64]
-        trigger = TriggerPattern.square(eval_images.shape[1:], 4)
-        stamped = trigger.apply(eval_images)
-
-        head = ["hidden.weight", "fc.weight"]
-        flips = [
-            (qmodel.offset_of(head[i % len(head)]) + 17 * i, 6)
-            for i in range(candidates)
-        ]
-
-        def candidate_loop(engine: Optional[EvalEngine]) -> str:
-            digest = hashlib.sha256()
-            for index, bit in flips:
-                qmodel.apply_bit_flip(index, bit)
-                for images in (eval_images, stamped):
-                    if engine is not None:
-                        logits = engine.forward(images)
-                    else:
-                        with no_grad():
-                            logits = model(Tensor(images)).data
-                    digest.update(logits.tobytes())
-                qmodel.apply_bit_flip(index, bit)  # revert
-            return digest.hexdigest()
-
-        candidate_loop(None)  # warm NumPy and the checkpoint before timing
-        with telemetry.span("bench_engine.uncached"):
-            start = time.perf_counter()
-            uncached_digest = candidate_loop(None)
-            uncached_seconds = time.perf_counter() - start
-
-        engine = EvalEngine(model)
-        with telemetry.span("bench_engine.cached"):
-            start = time.perf_counter()
-            cached_digest = candidate_loop(engine)
-            cached_seconds = time.perf_counter() - start
-
-        if cached_digest != uncached_digest:
-            raise RuntimeError(
-                "engine determinism contract broken: cached logits differ "
-                "from the plain forward"
-            )
-
-        # Same candidates as proposals for the batched scorer: the new byte
-        # value of each flip, computed against the (restored) baseline file.
-        proposals = []
-        for index, bit in flips:
-            name, local = qmodel.locate(index)
-            current = qmodel.quantized(name).reshape(-1)[local]
-            proposals.append(
-                (index, int(flip_bit(np.array([current], dtype=np.int8), bit)[0]))
-            )
-
-        def batched_loop() -> str:
-            clean_stack, trig_stack = engine.score_candidates(
-                qmodel, proposals, (eval_images, stamped)
-            )
-            digest = hashlib.sha256()
-            for k in range(len(proposals)):
-                digest.update(clean_stack[k].tobytes())
-                digest.update(trig_stack[k].tobytes())
-            return digest.hexdigest()
-
-        batched_loop()  # warm the prefix cache under the batched key pattern
-        with telemetry.span("bench_engine.batched"):
-            start = time.perf_counter()
-            batched_digest = batched_loop()
-            batched_seconds = time.perf_counter() - start
-
-        if batched_digest != uncached_digest:
-            raise RuntimeError(
-                "batched scoring determinism contract broken: stacked-suffix "
-                "logits differ from the sequential candidate loop"
-            )
-
-        stats = engine.cache.stats
-        section = {
-            "uncached_seconds": uncached_seconds,
-            "cached_seconds": cached_seconds,
-            "batched_seconds": batched_seconds,
-            "speedup": uncached_seconds / cached_seconds,
-            "batched_speedup": cached_seconds / batched_seconds,
-            "hit_rate": stats.hit_rate(),
-        }
-        telemetry.gauge_set("engine.uncached_seconds", uncached_seconds)
-        telemetry.gauge_set("engine.cached_seconds", cached_seconds)
-        telemetry.gauge_set("engine.batched_seconds", batched_seconds)
-        telemetry.gauge_set("engine.speedup", section["speedup"])
-        telemetry.gauge_set("engine.batched_speedup", section["batched_speedup"])
-        telemetry.gauge_set("engine.hit_rate", section["hit_rate"])
-    return section
-
-
 def run_bench(
     out: Optional[str] = "BENCH_pipeline.json",
     jsonl: Optional[str] = None,
@@ -257,20 +69,20 @@ def run_bench(
     iterations: int = 10,
     n_flip_budget: int = 2,
     target_class: int = 1,
-    include_sweep: bool = True,
     events: Optional[str] = None,
     trace: Optional[str] = None,
     manifest: bool = True,
 ) -> Dict[str, object]:
     """Run the benchmark attack end-to-end and return the telemetry report.
 
-    ``events`` / ``trace`` optionally write the flight record (JSONL) and the
-    Chrome-trace/Perfetto view of the run; ``manifest`` (default on) writes
+    The flight recorder always runs, so the report's per-kind event counts
+    (part of the gate) do not depend on the flags.  ``events`` / ``trace``
+    optionally write the flight record (JSONL) and the Chrome-trace/Perfetto
+    view of the run; ``manifest`` (default on) writes
     ``<out>.manifest.json`` identifying what produced the artifacts.
     """
     telemetry.enable()
-    if events is not None or trace is not None:
-        telemetry.enable_events()
+    telemetry.enable_events()
     telemetry.reset()
 
     spec = SyntheticSpec(num_classes=4, image_size=16, prototypes_per_class=2)
@@ -310,11 +122,6 @@ def run_bench(
         with telemetry.span("bench.attack", method=attack.name):
             result = pipeline.run(attack, qmodel, attacker_data, test_data, target_class)
 
-    # Outside the "bench" span so the single-run baseline timing is not
-    # distorted by the (parallelism-dependent) sweep comparison.
-    sweep_durations = _bench_sweep_durations(seed) if include_sweep else {}
-    engine_section = _bench_engine_section(seed)
-
     meta = {
         "benchmark": "repro-bench",
         "version": __version__,
@@ -325,8 +132,6 @@ def run_bench(
         "n_flip_budget": n_flip_budget,
         "method": result.method,
         "online_n_flip": result.online_n_flip,
-        "sweep_workers_seconds": {str(k): v for k, v in sweep_durations.items()},
-        "engine": engine_section,
     }
     report = telemetry.dump(out, meta=meta)
     if jsonl is not None:
@@ -367,7 +172,6 @@ def run_bench(
                     "iterations": iterations,
                     "n_flip_budget": n_flip_budget,
                     "target_class": target_class,
-                    "include_sweep": include_sweep,
                 },
                 seeds=[seed],
                 device="K1",

@@ -25,8 +25,7 @@ production inference stacks:
 uncached pass produces, so cached and uncached logits are byte-identical to
 the plain forward -- sweep rows, flight records and golden snapshots are
 those of a plain ``no_grad`` forward.  The parity suite in
-``tests/test_engine.py``, its end-to-end reference oracle and the
-``repro bench`` engine section all assert this.
+``tests/test_engine.py`` and its end-to-end reference oracle assert this.
 """
 
 from __future__ import annotations

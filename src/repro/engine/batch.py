@@ -26,8 +26,7 @@ kernel selection -- and therefore rounding -- depends on the row count,
 so once activations flatten to 2-D the candidates are lifted onto a
 leading axis and each dense GEMM broadcasts per candidate slice with the
 sequential path's exact shape.  The parity suite in
-``tests/test_engine.py`` and the ``repro bench`` batched-section digest
-hard-fail both pin this.
+``tests/test_engine.py`` pins this.
 
 **Round-ahead speculation**: the per-candidate perturbed-layer outputs
 computed in step 2 are exactly what a prefix restore would recompute after

@@ -1,8 +1,8 @@
 """A deliberately small CNN victim for fast sweeps and CI smoke runs.
 
 Not an architecture from the paper: ``tinycnn`` exists so the parallel
-sweep runner, the determinism test suite and the ``repro bench`` sweep
-timing can exercise the full (train, quantize, attack, hammer) path in
+sweep runner, the determinism test suite and ``perfbench``'s
+``sweep-micro`` workload can exercise the full (train, quantize, attack, hammer) path in
 seconds.  At ``width=1.0`` it spans several 4 KB weight-file pages
 (~14k parameters), so the page-level constraints C1/C2 and the online
 massaging are all meaningfully exercised.

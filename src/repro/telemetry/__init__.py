@@ -150,8 +150,8 @@ def disable() -> None:
 def events_enabled() -> bool:
     """Whether the flight recorder captures events (its own hot-path guard).
 
-    Independent of :func:`enabled` so the benchmark baseline's counters and
-    timings are untouched unless a run explicitly asks for provenance.
+    Independent of :func:`enabled` so a metrics-only run pays nothing for
+    the event stream unless it asks for provenance.
     """
     return _events_enabled
 

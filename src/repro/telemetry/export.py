@@ -3,8 +3,8 @@
 Three formats serve three consumers:
 
 - :func:`build_report` / :func:`write_json` -- one aggregated JSON document
-  (stage durations + metric snapshot) that the CI benchmark-regression gate
-  diffs against a committed baseline.
+  (stage durations + metric snapshot) that the CI determinism gate diffs
+  against a committed baseline.
 - :func:`write_jsonl` / :func:`read_jsonl` -- one JSON object per line, full
   fidelity (every span record, every histogram observation), for ad-hoc
   analysis and lossless round-trips.
@@ -39,7 +39,7 @@ def build_report(
     """The aggregated benchmark report (the ``BENCH_pipeline.json`` shape).
 
     ``events`` holds per-kind flight-recorder counts (empty unless the run
-    enabled event recording); ``bench-check`` diffs them informationally.
+    enabled event recording); ``bench-check`` requires them equal.
     """
     snapshot = registry.snapshot()
     return {

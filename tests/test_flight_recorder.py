@@ -334,10 +334,10 @@ class TestReport:
 
 
 # ---------------------------------------------------------------------------
-# Informational drift in the regression gate
+# Histograms and event counts in the determinism gate
 # ---------------------------------------------------------------------------
-class TestInformationalDrift:
-    def test_histogram_and_event_drift_never_fail_the_gate(self):
+class TestHistogramAndEventGate:
+    def test_histogram_and_event_drift_fails_the_gate(self):
         baseline = {
             "counters": {"pipeline.runs": 1.0},
             "spans": {},
@@ -351,24 +351,21 @@ class TestInformationalDrift:
             "events": {"cft.round": 9, "verify.flip": 2},
         }
         deviations = compare_reports(baseline, candidate)
-        info = [d for d in deviations if not d.gated]
-        assert {(d.kind, d.name) for d in info} == {
+        # verify.flip is new in the candidate, so it is not compared.
+        assert {(d.kind, d.name) for d in deviations if d.failed} == {
             ("histogram", "hammer.flips.count"),
             ("event", "cft.round"),
-            ("event", "verify.flip"),
         }
-        assert not any(d.failed for d in info)
         text = format_comparison(deviations)
-        assert "0 failed / 1 gated" in text
-        assert "3 informational drift line(s)" in text
-        assert "[info]" in text
+        assert "2 failed / 4 metrics" in text
+        assert text.count("[FAIL]") == 2
 
-    def test_reports_without_those_sections_add_no_info_lines(self):
+    def test_reports_without_those_sections_compare_counters_only(self):
         baseline = {"counters": {"c": 1.0}, "spans": {}}
         candidate = {"counters": {"c": 1.0}, "spans": {}}
         deviations = compare_reports(baseline, candidate)
-        assert all(d.gated for d in deviations)
-        assert "informational" not in format_comparison(deviations)
+        assert [(d.kind, d.name, d.failed) for d in deviations] == [("counter", "c", False)]
+        assert "0 failed / 1 metrics" in format_comparison(deviations)
 
 
 # ---------------------------------------------------------------------------

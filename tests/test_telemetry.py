@@ -1,7 +1,8 @@
 """Telemetry layer: registry merges, nested spans, disabled no-ops,
-JSON/JSONL round-trips and the benchmark-regression gate."""
+JSON/JSONL round-trips and the bench determinism gate."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -207,111 +208,118 @@ class TestExport:
 
 
 class TestRegressionGate:
-    def _report(self, bits=4.0, seconds=1.0):
+    """The exact rule: every seeded baseline metric must be equal."""
+
+    def _report(self):
         return {
             "schema": telemetry.SCHEMA,
-            "counters": {"online.bits_flipped": bits},
+            "counters": {"online.bits_flipped": 4.0, "hammer.attempts": 3936.0},
+            "gauges": {"online.r_match": 99.8},
+            "histograms": {"cft.round_asr": {"count": 2, "sum": 2.0, "p50": 1.0}},
+            "events": {"cft.round": 2},
             "spans": {
-                "bench": {"count": 1, "total_seconds": seconds,
-                          "min_seconds": seconds, "max_seconds": seconds},
-                "bench/tiny": {"count": 1, "total_seconds": 0.001,
-                               "min_seconds": 0.001, "max_seconds": 0.001},
+                "bench": {"count": 1, "total_seconds": 1.0,
+                          "min_seconds": 1.0, "max_seconds": 1.0},
             },
+            "meta": {"python": "3.12.0"},
         }
+
+    def _failed(self, base, cand):
+        return [(d.kind, d.name) for d in compare_reports(base, cand) if d.failed]
 
     def test_identical_reports_pass(self):
         deviations = compare_reports(self._report(), self._report())
         assert not any(d.failed for d in deviations)
+        assert {d.kind for d in deviations} == {"counter", "gauge", "histogram", "event"}
 
-    def test_counter_drift_fails(self):
-        deviations = compare_reports(self._report(bits=4), self._report(bits=6))
-        failed = [d for d in deviations if d.failed]
-        assert [d.name for d in failed] == ["online.bits_flipped"]
+    @pytest.mark.parametrize("delta", [1.0, -1.0, 1e-9])
+    def test_any_counter_difference_fails_improvements_included(self, delta):
+        cand = self._report()
+        cand["counters"]["hammer.attempts"] += delta
+        assert self._failed(self._report(), cand) == [("counter", "hammer.attempts")]
 
-    def test_wall_time_drift_fails(self):
-        deviations = compare_reports(self._report(seconds=1.0), self._report(seconds=2.0))
-        assert any(d.failed and d.name == "bench" for d in deviations)
+    def test_gauge_difference_fails(self):
+        cand = self._report()
+        cand["gauges"]["online.r_match"] = 99.9
+        assert self._failed(self._report(), cand) == [("gauge", "online.r_match")]
 
-    def test_sub_noise_spans_skipped(self):
-        base, cand = self._report(), self._report()
-        cand["spans"]["bench/tiny"]["total_seconds"] = 0.004  # 4x but < min_seconds
-        assert not any(d.failed for d in compare_reports(base, cand))
+    @pytest.mark.parametrize("field", ["count", "sum", "p50"])
+    def test_every_histogram_field_is_gated(self, field):
+        cand = self._report()
+        cand["histograms"]["cft.round_asr"][field] += 1
+        assert self._failed(self._report(), cand) == [
+            ("histogram", f"cft.round_asr.{field}")
+        ]
 
-    def test_missing_counter_fails(self):
-        base, cand = self._report(), self._report()
-        del cand["counters"]["online.bits_flipped"]
-        assert any(d.failed for d in compare_reports(base, cand))
+    def test_event_count_difference_fails(self):
+        cand = self._report()
+        cand["events"]["cft.round"] = 3
+        assert self._failed(self._report(), cand) == [("event", "cft.round")]
 
-    def test_missing_span_fails(self):
-        base, cand = self._report(), self._report()
+    def test_spans_and_meta_are_never_compared(self):
+        cand = self._report()
+        cand["spans"]["bench"]["total_seconds"] = 9.0
+        cand["spans"]["bench/new"] = dict(cand["spans"]["bench"])
+        cand["meta"]["python"] = "3.9.0"
+        assert self._failed(self._report(), cand) == []
         del cand["spans"]["bench"]
-        assert any(d.failed and d.kind == "span" for d in compare_reports(base, cand))
+        assert self._failed(self._report(), cand) == []
 
-    def test_histogram_and_event_drift_is_informational_only(self):
-        """Histogram/event drift surfaces as ``gated=False`` lines that can
-        never fail the build, and format_comparison labels them as info."""
+    def test_new_candidate_metrics_pass(self):
+        cand = self._report()
+        cand["counters"]["engine.cache.hit"] = 7.0
+        cand["gauges"]["new.gauge"] = 0.5
+        cand["histograms"]["new.hist"] = {"count": 1}
+        cand["events"]["verify.flip"] = 2
+        assert self._failed(self._report(), cand) == []
+
+    @pytest.mark.parametrize(
+        "section, name, kind, failed_name",
+        [
+            ("counters", "online.bits_flipped", "counter", "online.bits_flipped"),
+            ("gauges", "online.r_match", "gauge", "online.r_match"),
+            ("histograms", "cft.round_asr", "histogram", "cft.round_asr.count"),
+            ("events", "cft.round", "event", "cft.round"),
+        ],
+    )
+    def test_missing_metric_fails(self, section, name, kind, failed_name):
         from repro.telemetry.regression import format_comparison
 
-        base, cand = self._report(), self._report()
-        base["histograms"] = {"train.loss": {"count": 4, "sum": 2.0}}
-        cand["histograms"] = {"train.loss": {"count": 8, "sum": 4.0}}
-        base["events"] = {"task.done": 6}
-        cand["events"] = {"task.done": 3}
-        deviations = compare_reports(base, cand)
-        drift = [d for d in deviations if not d.gated]
-        assert {(d.kind, d.name) for d in drift} == {
-            ("histogram", "train.loss.count"),
-            ("histogram", "train.loss.sum"),
-            ("event", "task.done"),
-        }
-        assert not any(d.failed for d in drift)
-        text = format_comparison(deviations)
-        assert "0 failed" in text and "3 informational drift line(s)" in text
-        assert text.count("[info]") == 3
+        cand = self._report()
+        del cand[section][name]
+        deviations = compare_reports(self._report(), cand)
+        assert (kind, failed_name) in [(d.kind, d.name) for d in deviations if d.failed]
+        assert "candidate=missing" in format_comparison(deviations)
+
+    def test_format_lists_failures_first_and_counts_them(self):
+        from repro.telemetry.regression import format_comparison
+
+        cand = self._report()
+        cand["counters"]["online.bits_flipped"] = 5.0
+        lines = format_comparison(compare_reports(self._report(), cand)).splitlines()
+        assert lines[0].startswith("[FAIL] counter") and "online.bits_flipped" in lines[0]
+        assert lines[-1] == "bench-regression: 1 failed / 7 metrics"
 
 
-class TestBenchTrend:
-    def _report(self, seconds=1.0, speedup=None):
-        report = {
-            "schema": telemetry.SCHEMA,
-            "counters": {},
-            "gauges": {},
-            "spans": {
-                "bench": {"count": 1, "total_seconds": seconds,
-                          "min_seconds": seconds, "max_seconds": seconds},
-                "bench/sub": {"count": 1, "total_seconds": 0.5,
-                              "min_seconds": 0.5, "max_seconds": 0.5},
-            },
-        }
-        if speedup is not None:
-            report["gauges"]["engine.batched_speedup"] = speedup
-        return report
+class TestBenchBaseline:
+    def test_fresh_bench_equals_the_committed_baseline_with_an_empty_cache(
+        self, tmp_path, monkeypatch
+    ):
+        """``repro bench`` never reads the model cache, and every seeded
+        metric of a fresh run equals ``benchmarks/BENCH_pipeline.json``."""
+        from repro.core.bench import run_bench
+        from repro.telemetry.regression import format_comparison
 
-    def test_trend_table_lists_runs_in_order(self):
-        from repro.telemetry.regression import format_trend
-
-        table = format_trend(
-            [("baseline", self._report(1.0, 2.0)), ("run42", self._report(1.5, 2.5))]
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(cache))
+        fresh = run_bench(out=str(tmp_path / "BENCH_pipeline.json"))
+        baseline = read_json(
+            Path(__file__).resolve().parent.parent / "benchmarks" / "BENCH_pipeline.json"
         )
-        assert "span.bench.seconds" in table
-        assert "gauge.engine.batched_speedup" in table
-        assert table.index("baseline") < table.index("run42")
-        assert "bench-trend: 2 run(s), informational only" in table
-        # Sub-spans stay out of the trend; the regression gate covers them.
-        assert "bench/sub" not in table
-
-    def test_trend_missing_metric_renders_na_and_never_raises(self):
-        from repro.telemetry.regression import format_trend
-
-        table = format_trend(
-            [("old", self._report(1.0)), ("new", self._report(1.0, 3.0))]
-        )
-        assert "n/a" in table
-
-    def test_trend_empty_input(self):
-        from repro.telemetry.regression import format_trend
-
-        assert format_trend([]) == "bench-trend: no reports"
+        deviations = compare_reports(baseline, fresh)
+        assert not any(d.failed for d in deviations), format_comparison(deviations)
+        assert list(cache.iterdir()) == []
 
 
 class TestPipelineIntegration:
