@@ -15,36 +15,35 @@ from repro.quant.bits import hamming_distance
 from repro.quant.weightfile import PAGE_SIZE_BITS
 
 
-def _predict(
-    model: Module, images: np.ndarray, batch_size: int = 256, engine=None
-) -> np.ndarray:
-    """Class predictions for a batch of images, in eval mode.
+def _logits(model: Module, batch: np.ndarray, engine=None) -> np.ndarray:
+    """Eval-mode logits of one batch, served by ``engine`` when given.
 
     ``engine`` is an optional :class:`repro.engine.EvalEngine` over the same
-    model; when given, batched logits are served from its layer-prefix cache
-    (byte-identical to the plain forward, so predictions never change).
+    model; its logits are byte-identical to the plain forward, so
+    predictions never change.
     """
+    if engine is not None:
+        return engine.forward(batch)
+    with no_grad():
+        return model(Tensor(batch)).data
+
+
+def _predict(model: Module, images: np.ndarray, batch_size: int = 256) -> np.ndarray:
+    """Class predictions for a batch of images, in eval mode."""
     was_training = model.training
     model.eval()
-    predictions = []
-    with no_grad():
-        for start in range(0, len(images), batch_size):
-            batch = images[start : start + batch_size]
-            if engine is not None:
-                logits = engine.forward(batch)
-            else:
-                logits = model(Tensor(batch)).numpy()
-            predictions.append(logits.argmax(axis=1))
+    predictions = [
+        _logits(model, images[start : start + batch_size]).argmax(axis=1)
+        for start in range(0, len(images), batch_size)
+    ]
     if was_training:
         model.train()
     return np.concatenate(predictions) if predictions else np.empty(0, dtype=np.int64)
 
 
-def test_accuracy(
-    model: Module, dataset: ArrayDataset, batch_size: int = 256, engine=None
-) -> float:
+def test_accuracy(model: Module, dataset: ArrayDataset, batch_size: int = 256) -> float:
     """TA: fraction of clean test samples classified correctly."""
-    predictions = _predict(model, dataset.images, batch_size, engine=engine)
+    predictions = _predict(model, dataset.images, batch_size)
     return float((predictions == dataset.labels).mean()) if len(dataset) else 0.0
 
 
@@ -54,7 +53,6 @@ def attack_success_rate(
     trigger: TriggerPattern,
     target_class: int,
     batch_size: int = 256,
-    engine=None,
 ) -> float:
     """ASR: fraction of trigger-stamped test samples classified as the target.
 
@@ -64,7 +62,7 @@ def attack_success_rate(
     if not len(dataset):
         return 0.0
     stamped = trigger.apply(dataset.images)
-    predictions = _predict(model, stamped, batch_size, engine=engine)
+    predictions = _predict(model, stamped, batch_size)
     return float((predictions == target_class).mean())
 
 
@@ -106,10 +104,28 @@ def evaluate_attack(
     batch_size: int = 256,
     engine=None,
 ) -> AttackEvaluation:
-    """Evaluate TA and ASR of a (possibly backdoored) model in one pass."""
+    """Evaluate TA and ASR of a (possibly backdoored) model in one pass.
+
+    Each test batch runs clean, then trigger-stamped.  With an ``engine``
+    the stamped batch is the clean one's stamped twin
+    (:meth:`repro.engine.EvalEngine.stamp`), so it recomputes only the
+    trigger's cone over the clean batch's stage outputs, cached a moment
+    before.  The values equal :func:`test_accuracy` and
+    :func:`attack_success_rate`.
+    """
+    if not len(dataset):
+        return AttackEvaluation(test_accuracy=0.0, attack_success_rate=0.0)
+    was_training = model.training
+    model.eval()
+    correct = hits = 0
+    for start in range(0, len(dataset), batch_size):
+        clean = dataset.images[start : start + batch_size]
+        labels = dataset.labels[start : start + batch_size]
+        stamped = trigger.apply(clean) if engine is None else engine.stamp(trigger, clean)
+        correct += int((_logits(model, clean, engine).argmax(axis=1) == labels).sum())
+        hits += int((_logits(model, stamped, engine).argmax(axis=1) == target_class).sum())
+    if was_training:
+        model.train()
     return AttackEvaluation(
-        test_accuracy=test_accuracy(model, dataset, batch_size, engine=engine),
-        attack_success_rate=attack_success_rate(
-            model, dataset, trigger, target_class, batch_size, engine=engine
-        ),
+        test_accuracy=correct / len(dataset), attack_success_rate=hits / len(dataset)
     )

@@ -117,6 +117,10 @@ def _reads_linear(stage: Stage) -> bool:
                for module in stage.modules for _, sub in module.named_modules())
 
 
+def _training(module) -> bool:
+    return any(sub.training for _, sub in module.named_modules())
+
+
 class _CleanLogits:
     """Clean-term logits of attacker batches, reusing each image's features.
 
@@ -126,10 +130,18 @@ class _CleanLogits:
     its own, so an image's trunk features depend only on the image and the
     trunk's weights: they are kept per image and forwarded only for the
     rows a batch is missing at the trunk's current version signature (any
-    weight or buffer rebind starts a new version).  A GEMM over a different
-    row count may pick a different BLAS kernel, so the ``Linear`` head runs
-    on the gathered batch, in batch order, exactly as the clean forward
-    would: the logits are byte-identical to ``model(images[idx])``.
+    change to a weight's bytes or a buffer starts a new version).  A GEMM
+    over a different row count may pick a different BLAS kernel, so the
+    ``Linear`` head runs on the gathered batch, in batch order, exactly as
+    the clean forward would: the logits are byte-identical to
+    ``model(images[idx])``.
+
+    Given an ``engine`` over the same plan and ``shared``, a leading slice
+    ``images[:k]`` that the engine forwards (CFT's evaluation subset), rows
+    ``[0, k)`` are taken from the engine's cached stage outputs at the
+    trunk's current signatures when it holds them all, instead of
+    forwarded again: the trunk treats each row on its own, so they are the
+    same bytes.
 
     Given the ``trigger``, it also serves the stamped pass
     (:meth:`stamped_forward`) on the trigger's cone
@@ -141,7 +153,9 @@ class _CleanLogits:
     """
 
     def __init__(self, plan: LayerPlan, images: np.ndarray,
-                 trigger: Optional[TriggerPattern] = None) -> None:
+                 trigger: Optional[TriggerPattern] = None,
+                 engine: Optional[EvalEngine] = None,
+                 shared: Optional[np.ndarray] = None) -> None:
         stages = plan.stages
         cut = next((i for i, stage in enumerate(stages) if _reads_linear(stage)), len(stages))
         self.plan = plan
@@ -149,19 +163,14 @@ class _CleanLogits:
         self.images = images
         self._box = None if trigger is None else cone.bounding_box(trigger.mask)
         if self._box is not None:
-            # Stamping clips every pixel: an image is its own stamp outside
-            # the trigger's box only where it lies in the clip range.
-            outside = np.ones(images.shape[2:], dtype=bool)
-            outside[cone.region(self._box)[2:]] = False
-            low, high = trigger.clip_range
-            values = images[:, :, outside]
-            self._unclipped = ((values >= low) & (values <= high)).all(axis=(1, 2))
+            self._unclipped = cone.unclipped(images, self._box, trigger.clip_range)
         # Planned by the first stamped pass; until then every trunk output
         # of the forwarded rows waits in ``_pending``.
         self._windows: Optional[List[Optional[cone.StageWindow]]] = (
             None if self._box is not None else []
         )
         self._pending: List[tuple] = []  # (rows, trunk stage outputs)
+        self._engine, self._shared = engine, shared
         self._outputs: Dict[int, tuple] = {}  # windowed stage -> (axis order, per-image rows)
         self._version: Optional[tuple] = None
         self._features: Optional[np.ndarray] = None
@@ -184,6 +193,9 @@ class _CleanLogits:
             self._have[:] = False
             self._pending.clear()
         missing = np.unique(idx[~self._have[idx]])
+        if missing.size and self._shared is not None and missing[0] < len(self._shared):
+            self._adopt()
+            missing = missing[~self._have[missing]]
         if not missing.size:
             return
         x = Tensor(self.images[missing])
@@ -197,10 +209,29 @@ class _CleanLogits:
                     self._store(index, missing, x.data)
         if self._windows is None:
             self._pending.append((missing, outputs))
+        self._keep_features(missing, x.data)
+
+    def _adopt(self) -> None:
+        """Take the shared rows from the engine's cache, if it holds them all."""
+        if _training(self.plan.module):
+            return
+        outputs = [self._engine.cached(self._shared, index) for index in range(len(self.trunk))]
+        if any(out is None for out in outputs):
+            return
+        rows = np.arange(len(self._shared))
+        if self._windows is None:
+            self._pending.append((rows, outputs))
+        else:
+            for index, window in enumerate(self._windows):
+                if window is not None:
+                    self._store(index, rows, outputs[index])
+        self._keep_features(rows, outputs[-1])
+
+    def _keep_features(self, rows: np.ndarray, features: np.ndarray) -> None:
         if self._features is None:
-            self._features = np.empty((len(self.images),) + x.shape[1:], x.data.dtype)
-        self._features[missing] = x.data
-        self._have[missing] = True
+            self._features = np.empty((len(self.images),) + features.shape[1:], features.dtype)
+        self._features[rows] = features
+        self._have[rows] = True
 
     def _store(self, index: int, rows: np.ndarray, out: np.ndarray) -> None:
         """Keep windowed stage ``index``'s output of ``rows`` on its kept box."""
@@ -250,7 +281,7 @@ class _CleanLogits:
         def forward(stamped: Tensor) -> Tensor:
             self._ensure(idx)
             module = self.plan.module
-            if any(sub.training for _, sub in module.named_modules()):
+            if _training(module):
                 return module(stamped)
             if self._windows is None:
                 if stamped.requires_grad and is_grad_enabled():
@@ -436,6 +467,9 @@ class CFTAttack:
 
         def refine_trigger(steps: int) -> None:
             nonlocal stamped_eval
+            # The clean subset at the current weights: the next objective()
+            # reads it, and the trigger steps take its rows' trunk outputs.
+            engine.forward(eval_images)
             for _ in range(steps):
                 idx = batch()
                 # A trigger step reads only the loss and dF/dx: no weight
@@ -469,18 +503,21 @@ class CFTAttack:
         # scores each round's proposals with one batched suffix forward per
         # touched layer.  Logits are byte-identical to the plain forward.
         engine = EvalEngine(model)
-        clean_logits = _CleanLogits(engine.plan, attacker_data.images, trigger)
+        clean_logits = _CleanLogits(engine.plan, attacker_data.images, trigger,
+                                    engine=engine, shared=eval_images)
 
         # The trigger only moves between rounds (refine_trigger), while
         # objective() and the candidate scorer read the stamped subset
         # several times per round: stamp it once per trigger state so
-        # repeated calls hand the engine the same batch object.
+        # repeated calls hand the engine the same batch object.  It is the
+        # clean subset's stamped twin, so the engine recomputes only the
+        # trigger's cone over the clean subset's cached stage outputs.
         stamped_eval: Optional[np.ndarray] = None
 
         def stamped_eval_images() -> np.ndarray:
             nonlocal stamped_eval
             if stamped_eval is None:
-                stamped_eval = trigger.apply(eval_images)
+                stamped_eval = engine.stamp(trigger, eval_images)
             return stamped_eval
 
         def eval_asr() -> float:

@@ -7,14 +7,18 @@ output that follows from its kernel, stride and padding.  So each leading
 stage of a model whose output differs from the clean output only on a
 sub-box can run on a crop of its input (:class:`Crop`), and its window can
 be pasted into a copy of the clean output (:class:`Paste`).  The gradient
-flows back only through the crops.
+flows back only through the crops.  CFT's trigger steps
+(:mod:`repro.attacks.cft`) differentiate through the crops; the
+evaluation engine's stamped twins (:meth:`repro.engine.EvalEngine.stamp`)
+run them under ``no_grad`` over cached clean stage outputs.
 
 Byte identity with the full pass rests on three rules (DESIGN.md, "The
 trigger's cone"):
 
 - *Geometry* (:func:`plan_stage`): each stage's window is derived from the
-  ops it ran in a taped full pass (CFT's first stamped pass of an attack,
-  which runs in full).  The crop covers every input its window
+  ops it ran in a taped pass: CFT's first stamped pass of an attack, which
+  runs in full, or, for the engine, one zero image (:func:`plan`).  The
+  crop covers every input its window
   reads, starts at a multiple of the stage's stride and ends on one (or on
   the map's edge), so every conv in the crop sees the same patches on the
   same output grid, and zero padding only where the full map has it.
@@ -48,7 +52,7 @@ from repro.autodiff.conv import (
     stacked_rows,
 )
 from repro.autodiff.norm import BatchNorm2dFunction
-from repro.autodiff.tensor import Function, Tensor
+from repro.autodiff.tensor import Function, Tensor, enable_grad
 
 # A spatial box: rows [r0, r1) and columns [c0, c1).
 Box = Tuple[int, int, int, int]
@@ -63,6 +67,19 @@ def bounding_box(mask: np.ndarray) -> Optional[Box]:
     if rows.size == 0:
         return None
     return int(rows[0]), int(rows[-1]) + 1, int(cols[0]), int(cols[-1]) + 1
+
+
+def unclipped(images: np.ndarray, box: Box, clip_range: Tuple[float, float]) -> np.ndarray:
+    """Per image, whether every pixel outside ``box`` lies in ``clip_range``.
+
+    Stamping a trigger clips every pixel, so an image is its own stamp
+    outside the trigger's box only where this holds.
+    """
+    outside = np.ones(images.shape[2:], dtype=bool)
+    outside[region(box)[2:]] = False
+    low, high = clip_range
+    values = images[:, :, outside]
+    return ((values >= low) & (values <= high)).all(axis=(1, 2))
 
 
 def _zeros_laid_out_like(shape: Sequence[int], like: np.ndarray) -> np.ndarray:
@@ -323,6 +340,30 @@ def plan_stage(x: Tensor, y: Tensor, box: Box) -> Tuple[Optional[StageWindow], O
     return window, out
 
 
+def plan(stages: Sequence, shape: Sequence[int], box: Box) -> List[Optional[StageWindow]]:
+    """The windows of ``stages`` for images of ``shape`` stamped on ``box``.
+
+    Planned on a taped pass of one zero image: a window depends on the
+    stages' ops and geometry, not on the values or the batch size.  The
+    stages run in their current mode, so call it in eval mode (a
+    train-mode batch norm is not local, and its pass would move the
+    running statistics).  One entry per leading stage up to the first
+    whose output differs everywhere or not locally; None runs on the full
+    map.  Each window keeps its whole output map (see :func:`link`).
+    """
+    x = Tensor(np.zeros((1,) + tuple(shape), dtype=np.float32), requires_grad=True)
+    windows: List[Optional[StageWindow]] = []
+    with enable_grad():
+        for stage in stages:
+            if box is None:
+                break
+            y = stage.fn(x)
+            window, box = plan_stage(x, y, box)
+            windows.append(window)
+            x = y
+    return windows
+
+
 def link(windows: Sequence[Optional[StageWindow]]) -> List[Optional[StageWindow]]:
     """The planned windows, each keeping only what the next window's crop reads.
 
@@ -398,9 +439,24 @@ def forward(
         if window is None:
             x = stage.fn(x)
             continue
-        crop = Crop.apply(x, box=_shift(window.crop, at), grad_box=_shift(window.differs, at))
-        with stacked_rows():
-            out = stage.fn(crop)
+        x = run_window(stage, window, x, clean_output(index), at)
         at = window.kept
-        x = Paste.apply(out, clean_output(index), src=window.src, dst=_shift(window.dst, at))
     return x
+
+
+def run_window(
+    stage, window: StageWindow, x: Tensor, base: np.ndarray, at: Optional[Box] = None
+) -> Tensor:
+    """``stage`` on the crop of ``x``, its window pasted over ``base``.
+
+    ``x`` holds the box ``at`` of the stage input's map (default: the
+    whole map).  ``base`` is a fresh array of the stage's clean output on
+    the window's ``kept`` box, in the full pass's memory order; it is
+    written in place and returned inside the output tensor.
+    """
+    if at is None:
+        at = (0, x.shape[2], 0, x.shape[3])
+    crop = Crop.apply(x, box=_shift(window.crop, at), grad_box=_shift(window.differs, at))
+    with stacked_rows():
+        out = stage.fn(crop)
+    return Paste.apply(out, base, src=window.src, dst=_shift(window.dst, window.kept))

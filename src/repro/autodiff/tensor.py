@@ -27,14 +27,23 @@ def is_grad_enabled() -> bool:
 
 
 @contextlib.contextmanager
-def no_grad():
-    """Context manager disabling gradient-tape recording (like torch.no_grad)."""
+def _grad_mode(enabled: bool):
     previous = is_grad_enabled()
-    _grad_state.enabled = False
+    _grad_state.enabled = enabled
     try:
         yield
     finally:
         _grad_state.enabled = previous
+
+
+def no_grad():
+    """Context manager disabling gradient-tape recording (like torch.no_grad)."""
+    return _grad_mode(False)
+
+
+def enable_grad():
+    """Context manager recording the gradient tape, also inside ``no_grad``."""
+    return _grad_mode(True)
 
 
 @contextlib.contextmanager

@@ -28,6 +28,7 @@ are byte-deterministic under a fixed seed.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import List, Optional
 
@@ -774,7 +775,49 @@ def main(argv: Optional[List[str]] = None) -> int:
         "merge": _cmd_merge,
         "report": _cmd_report,
     }
-    return handlers[args.command](args)
+    stdout = sys.stdout
+    sys.stdout = _ClosedPipeGuard(stdout)
+    try:
+        code = handlers[args.command](args)
+        sys.stdout.flush()
+    finally:
+        sys.stdout = stdout
+    return code
+
+
+class _ClosedPipeGuard:
+    """``sys.stdout`` whose output is dropped once the reader has gone.
+
+    A closed pipe (``repro bench ... | head -3``) then neither raises a
+    ``BrokenPipeError`` traceback nor cuts the command short, so it exits
+    with the status it would have returned.
+    """
+
+    def __init__(self, stream) -> None:
+        self._stream = stream
+
+    def write(self, text: str) -> int:
+        try:
+            return self._stream.write(text)
+        except BrokenPipeError:
+            self._drop()
+            return len(text)
+
+    def flush(self) -> None:
+        try:
+            self._stream.flush()
+        except BrokenPipeError:
+            self._drop()
+
+    def _drop(self) -> None:
+        # Point the descriptor at /dev/null: buffered text and the flush at
+        # interpreter exit then go nowhere instead of raising again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, self._stream.fileno())
+        os.close(devnull)
+
+    def __getattr__(self, name: str):
+        return getattr(self._stream, name)
 
 
 if __name__ == "__main__":

@@ -9,23 +9,30 @@ production inference stacks:
 
 - a model is compiled into an ordered :class:`~repro.engine.plan.LayerPlan`
   of stages (see ``forward_stages`` on the zoo models);
-- every stage's weights carry version counters
-  (:attr:`repro.nn.module.Parameter.version` plus per-module buffer
-  versions), bumped by :class:`~repro.quant.qmodel.QuantizedModel` flip
-  commits and by direct ``nn.Module`` parameter writes;
+- every stage has a signature: the content digest of each parameter it
+  reads (:meth:`repro.nn.module.Parameter.digest`, rehashed once per
+  rebind by a :class:`~repro.quant.qmodel.QuantizedModel` flip commit or
+  a direct ``nn.Module`` parameter write) plus per-module buffer versions,
+  so weights that return to earlier bytes return to earlier signatures;
 - a batched forward is served from the deepest cached activation whose key
-  (input fingerprint, stage index, per-layer version prefix) still matches,
-  and only the suffix of stages below the touched layer is recomputed;
+  (input fingerprint, stage index, signature prefix) still matches, and
+  only the suffix of stages below the touched layer is recomputed;
+- a trigger-stamped batch made by :meth:`EvalEngine.stamp` is its clean
+  batch's twin: its leading stages recompute only the trigger's cone
+  (:mod:`repro.autodiff.cone`) over the clean batch's cached outputs;
 - entries live in an LRU cache under a fixed byte budget
   (:data:`~repro.engine.engine.BYTE_BUDGET`, 64 MiB); cached activations
   are served zero-copy (marked read-only) into the recomputed suffix.
 
 **Determinism contract**: the engine replays the exact op sequence of
-``module(Tensor(x))``, and cached activations are the bit-for-bit arrays an
-uncached pass produces, so cached and uncached logits are byte-identical to
-the plain forward -- sweep rows, flight records and golden snapshots are
-those of a plain ``no_grad`` forward.  The parity suite in
-``tests/test_engine.py`` and its end-to-end reference oracle assert this.
+``module(Tensor(x))``, cached activations are the bit-for-bit arrays an
+uncached pass produces, and a stamped twin's windowed stages follow the
+cone's byte rules (geometry, probed stacked GEMMs, layouts), so cached,
+uncached and coned logits are byte-identical to the plain forward -- sweep
+rows, flight records and golden snapshots are those of a plain ``no_grad``
+forward.  The parity suites in ``tests/test_engine.py`` and
+``tests/test_stamped_twin.py`` and the end-to-end reference oracle assert
+this.
 """
 
 from __future__ import annotations

@@ -28,6 +28,12 @@ leading axis and each dense GEMM broadcasts per candidate slice with the
 sequential path's exact shape.  The parity suite in
 ``tests/test_engine.py`` pins this.
 
+A stamped twin among the batches (:meth:`EvalEngine.stamp`) computes its
+windowed stages on the trigger's cone: the perturbed stage over the
+candidate's clean output, and each following windowed stage per
+candidate slice over the clean lane's matching rows, at the batch size
+its windows were probed at; its slices are stacked after the last window.
+
 **Round-ahead speculation**: the per-candidate perturbed-layer outputs
 computed in step 2 are exactly what a prefix restore would recompute after
 committing that candidate -- so the round parks them on the engine
@@ -54,7 +60,7 @@ from typing import List, Sequence, Tuple, Union
 import numpy as np
 
 from repro import telemetry
-from repro.autodiff.tensor import Tensor, no_grad
+from repro.autodiff.tensor import Tensor
 
 Proposal = Tuple[int, int]  # (flat weight-file index, new int8 byte value)
 
@@ -141,6 +147,22 @@ def score_candidates(
     for position, (_, _, stage, _) in enumerate(located):
         groups.setdefault(stage, []).append(position)
 
+    # A stamped twin of an earlier batch (EvalEngine.stamp) runs its
+    # windowed stages on the trigger's cone over that batch's outputs, one
+    # candidate slice at a time: batch index -> (clean batch index, windows).
+    twins = {}
+    for bi, array in enumerate(arrays):
+        twin = engine.twin_of(array)
+        src = None if twin is None else next(
+            (j for j in range(bi) if arrays[j] is twin[1]), None
+        )
+        if src is not None:
+            twins[bi] = (src, twin[2])
+
+    def window(bi: int, index: int):
+        windows = twins[bi][1] if bi in twins else ()
+        return windows[index] if index < len(windows) else None
+
     engine._speculation = None
     spec_candidates: dict = {}
     results: List[List[np.ndarray]] = [[None] * len(located) for _ in arrays]
@@ -153,11 +175,12 @@ def score_candidates(
         for position in positions:
             name, local, _, value = located[position]
             previous = _apply_byte(qmodel, name, local, value)
-            with no_grad():
-                for bi in range(len(arrays)):
-                    outputs[bi].append(
-                        stages[stage].fn(Tensor(prefixes[(bi, stage)])).data
-                    )
+            for bi in range(len(arrays)):
+                win = window(bi, stage)
+                base = None if win is None else outputs[twins[bi][0]][-1]
+                outputs[bi].append(
+                    engine.run_stage(stage, prefixes[(bi, stage)], base, win)
+                )
             _apply_byte(qmodel, name, local, previous)
             # Park this candidate's perturbed stage outputs for round-ahead
             # promotion: if the caller commits it, these arrays ARE the
@@ -168,39 +191,58 @@ def score_candidates(
                 "outputs": [outputs[bi][-1] for bi in range(len(arrays))],
             }
 
-        for bi, array in enumerate(arrays):
-            if stage == last:
-                # The perturbed layer is the head: its output already is the
-                # per-candidate logits; there is no suffix to batch.
+        if stage == last:
+            # The perturbed layer is the head: its output already is the
+            # per-candidate logits; there is no suffix to batch.
+            for bi in range(len(arrays)):
                 for position, out in zip(positions, outputs[bi]):
                     results[bi][position] = out
-                continue
-            # Candidate axis folded into the batch dimension: one suffix
-            # forward scores the whole group (baseline suffix weights -- the
-            # flips above are all confined to ``stage`` and were reverted).
-            #
-            # Representation switch for byte-identity: convolution and
-            # pooling stages are per-sample computations, so folding
-            # candidates into the batch axis cannot change their bytes.
-            # Dense stages are ``x @ W.T`` against a transposed *view*, and
-            # this BLAS picks M-dependent kernels for that operand layout --
-            # a (K*N, F) GEMM rounds differently from K separate (N, F)
-            # GEMMs.  So once activations flatten to 2-D the candidates are
-            # lifted onto a leading axis instead: ``(K, N, F) @ (F, out)``
-            # broadcasts to one GEMM per candidate slice with the exact M
-            # the sequential path used, which is byte-identical.
-            h = np.concatenate(outputs[bi], axis=0)
-            grouped = False
-            with no_grad():
-                for i in range(stage + 1, len(stages)):
-                    if not grouped and h.ndim == 2:
-                        h = h.reshape(
-                            (len(positions), array.shape[0]) + h.shape[1:]
-                        )
-                        grouped = True
-                    h = stages[i].fn(Tensor(h)).data
-            suffix_forwards += 1
-            if not grouped:
+            continue
+        # Candidate axis folded into the batch dimension: one suffix
+        # forward per image batch scores the whole group (baseline suffix
+        # weights -- the flips above are all confined to ``stage`` and were
+        # reverted).  A stamped twin's lane stays a list of candidate slices
+        # while its stages run on the cone, each slice over the matching
+        # rows of its clean lane, which every stage computes first.
+        #
+        # Representation switch for byte-identity: convolution and
+        # pooling stages are per-sample computations, so folding
+        # candidates into the batch axis cannot change their bytes.
+        # Dense stages are ``x @ W.T`` against a transposed *view*, and
+        # this BLAS picks M-dependent kernels for that operand layout --
+        # a (K*N, F) GEMM rounds differently from K separate (N, F)
+        # GEMMs.  So once activations flatten to 2-D the candidates are
+        # lifted onto a leading axis instead: ``(K, N, F) @ (F, out)``
+        # broadcasts to one GEMM per candidate slice with the exact M
+        # the sequential path used, which is byte-identical.
+        lanes = [
+            outputs[bi] if window(bi, stage + 1) is not None
+            else np.concatenate(outputs[bi], axis=0)
+            for bi in range(len(arrays))
+        ]
+        grouped = [False] * len(arrays)
+        for i in range(stage + 1, len(stages)):
+            for bi, array in enumerate(arrays):
+                h, n = lanes[bi], array.shape[0]
+                if isinstance(h, list):
+                    clean = lanes[twins[bi][0]]
+                    if window(bi, i) is not None and isinstance(clean, np.ndarray):
+                        lanes[bi] = [
+                            engine.run_stage(i, part, clean[j * n:(j + 1) * n], window(bi, i))
+                            for j, part in enumerate(h)
+                        ]
+                        continue
+                    h = np.concatenate(h, axis=0)
+                if not grouped[bi] and h.ndim == 2:
+                    h = h.reshape((len(positions), n) + h.shape[1:])
+                    grouped[bi] = True
+                lanes[bi] = engine.run_stage(i, h)
+        suffix_forwards += len(arrays)
+        for bi, array in enumerate(arrays):
+            h = lanes[bi]
+            if isinstance(h, list):
+                h = np.concatenate(h, axis=0)
+            if not grouped[bi]:
                 h = h.reshape((len(positions), array.shape[0]) + h.shape[1:])
             for j, position in enumerate(positions):
                 results[bi][position] = h[j]

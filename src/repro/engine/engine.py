@@ -1,35 +1,30 @@
-"""The evaluation engine: version-checked prefix-cached ``no_grad`` forwards."""
+"""The evaluation engine: signature-checked prefix-cached ``no_grad`` forwards."""
 
 from __future__ import annotations
 
-import hashlib
 from collections import OrderedDict
-from typing import Dict, Optional, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
 from repro import telemetry
+from repro.autodiff import cone
 from repro.autodiff.tensor import Tensor, no_grad
+from repro.data.trigger import TriggerPattern
 from repro.engine.cache import ActivationCache
 from repro.engine.plan import LayerPlan, compile_plan
-from repro.nn.module import Module
+from repro.nn.module import Module, content_digest
 
 #: LRU byte budget of an engine's activation cache.
 BYTE_BUDGET = 64 * 1024 * 1024
 
+# Content digest of a batch (dtype, shape and raw bytes).  It runs on every
+# engine forward that misses the memo below, so digest throughput bounds the
+# best-case cache-hit latency.
+_fingerprint = content_digest
 
-def _fingerprint(x: np.ndarray) -> bytes:
-    """Content digest of a batch: dtype, shape and raw bytes.
-
-    sha256 because CPython routes it through OpenSSL's hardware-accelerated
-    implementation -- this runs on every engine forward, so digest throughput
-    directly bounds the best-case cache-hit latency.
-    """
-    h = hashlib.sha256()
-    h.update(str(x.dtype).encode())
-    h.update(str(x.shape).encode())
-    h.update(np.ascontiguousarray(x))
-    return h.digest()
+# A stamped twin: (stamped batch, its clean batch, the windows usable at its size).
+Twin = Tuple[np.ndarray, np.ndarray, List[Optional[cone.StageWindow]]]
 
 
 class _FingerprintMemo:
@@ -48,7 +43,7 @@ class _FingerprintMemo:
 
     def __init__(self, capacity: int = 8) -> None:
         self._entries: "OrderedDict[int, tuple]" = OrderedDict()
-        self._capacity = capacity
+        self.capacity = capacity
 
     def fingerprint(self, x: np.ndarray) -> bytes:
         key = id(x)
@@ -58,7 +53,7 @@ class _FingerprintMemo:
             return entry[1]
         digest = _fingerprint(x)
         self._entries[key] = (x, digest)
-        while len(self._entries) > self._capacity:
+        while len(self._entries) > self.capacity:
             self._entries.popitem(last=False)
         return digest
 
@@ -69,8 +64,9 @@ class EvalEngine:
     ``forward(x)`` is byte-identical to ``module(Tensor(x)).data`` under
     ``no_grad``: the compiled plan replays the model's op sequence exactly,
     and cached activations are the bit-for-bit outputs of earlier identical
-    computations (guaranteed by keying every stage on the version-signature
-    prefix of all stages up to and including it).
+    computations (guaranteed by keying every stage on the signature prefix
+    of all stages up to and including it).  A stamped twin (:meth:`stamp`)
+    computes its windowed stages on the trigger's cone, to the same bytes.
 
     Caching only engages in eval mode — a training-mode forward mutates
     batch-norm running statistics, so it is executed plainly and never
@@ -81,6 +77,11 @@ class EvalEngine:
         self.plan: LayerPlan = compile_plan(module)
         self.cache = ActivationCache(byte_budget)
         self._memo = _FingerprintMemo()
+        # Stamped twins by id (see :meth:`stamp`), holding strong references
+        # like the fingerprint memo, and the cone's windows per (trigger box,
+        # image shape).
+        self._twins: "OrderedDict[int, Twin]" = OrderedDict()
+        self._windows: Dict[tuple, List[Optional[cone.StageWindow]]] = {}
         # Round-ahead speculation: the last batched scoring round parks its
         # per-candidate perturbed stage outputs here (see
         # :mod:`repro.engine.batch`); committing a winner promotes the
@@ -109,6 +110,60 @@ class EvalEngine:
         # stage one past the end of the plan.
         return self.prefix_input(x, fp, sigs, len(self.plan.stages))
 
+    def stamp(self, trigger: TriggerPattern, clean: np.ndarray) -> np.ndarray:
+        """``trigger.apply(clean)``, remembered as ``clean``'s stamped twin.
+
+        A stamped image differs from its clean image only inside the
+        trigger's cone (:mod:`repro.autodiff.cone`).  When the engine
+        computes a stage of the returned batch whose window passes the
+        byte check at this batch size, and holds ``clean``'s output of that
+        stage at the current signatures, it runs the stage on a crop and
+        pastes the window over a copy of the clean output; every other
+        stage runs on the full map.  Each stamped stage output is a whole
+        map and is cached as usual, so the logits stay byte-identical to
+        the plain forward.  No twin is kept in train mode, when no window
+        passes the byte check (a trigger covering the map has none), or
+        when the stamp clips a pixel outside the trigger's box.  Neither
+        batch may be mutated afterwards.
+        """
+        stamped = trigger.apply(clean)
+        box = cone.bounding_box(trigger.mask)
+        if (box is None or self.plan.module.training or stamped.ndim != 4
+                or stamped.dtype != clean.dtype):
+            return stamped
+        key = (box, stamped.shape[1:])
+        if key not in self._windows:
+            self._windows[key] = cone.plan(self.plan.stages, stamped.shape[1:], box)
+        windows = cone.usable(self._windows[key], len(stamped))
+        if any(windows) and cone.unclipped(clean, box, trigger.clip_range).all():
+            self._twins[id(stamped)] = (stamped, clean, windows)
+            while len(self._twins) > self._memo.capacity:
+                self._twins.popitem(last=False)
+        return stamped
+
+    def cached(self, x: np.ndarray, index: int) -> Optional[np.ndarray]:
+        """Stage ``index``'s output for batch ``x`` at the current signatures, if cached."""
+        sigs = self.plan.signatures()
+        return self.cache.get((self._memo.fingerprint(x), index, sigs[: index + 1]))
+
+    def twin_of(self, x: np.ndarray) -> Optional[Twin]:
+        """The stamped twin ``x`` is (see :meth:`stamp`), or None."""
+        twin = self._twins.get(id(x))
+        return twin if twin is not None and twin[0] is x else None
+
+    def run_stage(self, index: int, h: np.ndarray, base: Optional[np.ndarray] = None,
+                  window: Optional[cone.StageWindow] = None) -> np.ndarray:
+        """Stage ``index`` on ``h``; on ``window``'s crop over ``base`` when both are given.
+
+        ``base`` is the stage's clean output for the clean twin of ``h``;
+        it is copied, in its memory order, before the window is pasted.
+        """
+        stage = self.plan.stages[index]
+        with no_grad():
+            if window is None or base is None:
+                return stage.fn(Tensor(h)).data
+            return cone.run_window(stage, window, Tensor(h), base.copy(order="K")).data
+
     def prefix_input(
         self,
         x: np.ndarray,
@@ -126,7 +181,6 @@ class EvalEngine:
         """
         if upto == 0:
             return x
-        stages = self.plan.stages
 
         # Probe from the deepest stage down: the first (deepest) key whose
         # version-signature prefix still matches gives the longest reusable
@@ -150,11 +204,16 @@ class EvalEngine:
                 "engine.cache.hit" if start > 0 else "engine.cache.miss", 1
             )
 
+        # A stamped twin runs its windowed stages over its clean batch's
+        # cached outputs at the same signatures.
+        twin = self.twin_of(x)
+        clean_fp = None if twin is None else self._memo.fingerprint(twin[1])
         evicted_before = self.cache.stats.evicted_bytes
-        with no_grad():
-            for i in range(start, upto):
-                h = stages[i].fn(Tensor(h)).data
-                self.cache.put((fp, i, sigs[: i + 1]), h)
+        for i in range(start, upto):
+            window = None if twin is None or i >= len(twin[2]) else twin[2][i]
+            base = None if window is None else self.cache.get((clean_fp, i, sigs[: i + 1]))
+            h = self.run_stage(i, h, base, window)
+            self.cache.put((fp, i, sigs[: i + 1]), h)
         if telemetry.enabled():
             # A zero add still registers the counter, so every bench report
             # exports the full engine.cache.* triple even when nothing was
@@ -209,9 +268,10 @@ class EvalEngine:
         else:
             self.spec_discards += 1
         if telemetry.enabled():
-            telemetry.counter_add(
-                "engine.batch.spec_hit" if promoted else "engine.batch.spec_discard"
-            )
+            # Both counters are registered (one by a zero add), so a report
+            # always exports the pair and the bench gate sees either move.
+            telemetry.counter_add("engine.batch.spec_hit", int(promoted))
+            telemetry.counter_add("engine.batch.spec_discard", int(not promoted))
         if telemetry.events_enabled():
             # Deterministic (one event per commit, promoted-or-not is a pure
             # function of the seeded run), so the flight record stays

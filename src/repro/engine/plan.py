@@ -14,7 +14,7 @@ split per child, and any other module degrades to a single whole-model stage
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from repro import telemetry
 from repro.autodiff.tensor import Tensor
@@ -37,17 +37,19 @@ class Stage:
     fn: Callable[[Tensor], Tensor]
     modules: Tuple[Module, ...]
 
-    def version_signature(self) -> Tuple[int, ...]:
-        """Versions of every parameter and buffer store this stage reads.
+    def version_signature(self) -> Tuple[Union[bytes, int], ...]:
+        """What this stage reads: every parameter's bytes and buffer version.
 
-        The signature changes iff some weight or buffer feeding this stage
-        was rebound since it was last computed; identical signatures imply
-        bit-for-bit identical stage outputs for the same input.
+        Parameters enter by content (:meth:`Parameter.digest`), buffer
+        stores by their write counter.  Identical signatures imply
+        bit-for-bit identical stage outputs for the same input, and a
+        parameter rebound to bytes it held before returns the signature it
+        had then.
         """
-        sig: List[int] = []
+        sig: List[Union[bytes, int]] = []
         for module in self.modules:
             for _, param in module.named_parameters():
-                sig.append(param.version)
+                sig.append(param.digest())
             for _, sub in module.named_modules():
                 sig.append(sub.buffers_version)
         return tuple(sig)
@@ -66,7 +68,7 @@ class LayerPlan:
     def __len__(self) -> int:
         return len(self.stages)
 
-    def signatures(self) -> Tuple[Tuple[int, ...], ...]:
+    def signatures(self) -> Tuple[Tuple[Union[bytes, int], ...], ...]:
         """Current per-stage version signatures, in stage order."""
         return tuple(stage.version_signature() for stage in self.stages)
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 from collections import OrderedDict
 from typing import Any, Dict, Iterator, List, Tuple
 
@@ -16,17 +17,32 @@ from repro.autodiff.tensor import Tensor
 _TENSOR_DATA_SLOT = Tensor.data
 
 
+def content_digest(x: np.ndarray) -> bytes:
+    """sha256 of an array's dtype, shape and raw bytes.
+
+    sha256 because CPython routes it through OpenSSL's hardware-accelerated
+    implementation: the evaluation engine digests every batch it serves.
+    """
+    h = hashlib.sha256()
+    h.update(str(x.dtype).encode())
+    h.update(str(x.shape).encode())
+    h.update(np.ascontiguousarray(x))
+    return h.digest()
+
+
 class Parameter(Tensor):
     """A tensor registered as a trainable module parameter.
 
     Every rebind of :attr:`data` bumps a monotonically increasing
-    :attr:`version` counter.  The evaluation engine
-    (:mod:`repro.engine`) keys its layer-prefix activation cache on these
-    versions, so any weight write -- an optimizer step, a quantized-model
-    sync, a committed bit flip -- invalidates exactly the cached prefixes
-    that depended on the touched parameter.  Code must rebind ``data``
-    (``param.data = new``) rather than mutate it in place for the
-    invalidation to be seen; every writer in this codebase does.
+    :attr:`version` counter, and :meth:`digest` hashes the bytes once per
+    version.  The evaluation engine (:mod:`repro.engine`) keys its
+    layer-prefix activation cache on these digests, so any weight write --
+    an optimizer step, a quantized-model sync, a committed bit flip --
+    invalidates exactly the cached prefixes that depended on the touched
+    parameter, and a write that restores earlier bytes (a scored flip
+    reverted, a pruned flip re-applied) finds their prefixes again.  Code
+    must rebind ``data`` (``param.data = new``) rather than mutate it in
+    place for a write to be seen; every writer in this codebase does.
     """
 
     def __init__(self, data: Any) -> None:
@@ -45,6 +61,13 @@ class Parameter(Tensor):
     def version(self) -> int:
         """Number of times :attr:`data` has been rebound (never decreases)."""
         return self.__dict__.get("_version", 0)
+
+    def digest(self) -> bytes:
+        """:func:`content_digest` of :attr:`data`, computed once per version."""
+        memo = self.__dict__.get("_digest")
+        if memo is None or memo[0] != self.version:
+            memo = self.__dict__["_digest"] = (self.version, content_digest(self.data))
+        return memo[1]
 
 
 class Module:

@@ -117,9 +117,27 @@ class TestMetrics:
         assert hasattr(result, "test_accuracy")
         assert hasattr(result, "attack_success_rate")
 
+    @pytest.mark.parametrize("batch_size", [7, 256])
+    def test_evaluate_attack_equals_ta_and_asr_with_and_without_engine(self, batch_size):
+        from repro.core.training import _evaluation_splits
+        from repro.engine import EvalEngine
+        from repro.models import build_model
+
+        model = build_model("resnet20", num_classes=10, width=0.25, rng=0)
+        model.eval()
+        data = _evaluation_splits("cifar10", 0)[0].subset(np.arange(300))
+        trigger = TriggerPattern.square((3, 32, 32), 10)
+        expected = (clean_accuracy(model, data), attack_success_rate(model, data, trigger, 3))
+        for engine in (None, EvalEngine(model)):
+            result = evaluate_attack(model, data, trigger, 3, batch_size, engine=engine)
+            assert (result.test_accuracy, result.attack_success_rate) == expected
+
     def test_empty_dataset(self, tiny_model):
         empty = ArrayDataset(np.zeros((0, 3, 16, 16)), np.zeros(0))
         assert clean_accuracy(tiny_model, empty) == 0.0
+        trigger = TriggerPattern.square((3, 16, 16), 4)
+        result = evaluate_attack(tiny_model, empty, trigger, 0)
+        assert (result.test_accuracy, result.attack_success_rate) == (0.0, 0.0)
 
 
 class TestGradCAM:

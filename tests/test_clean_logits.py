@@ -150,3 +150,45 @@ def test_attack_result_byte_equal_to_clean_forward(
     assert reused.trigger.pattern.tobytes() == forced.trigger.pattern.tobytes()
     assert reused.backdoored_weights.tobytes() == forced.backdoored_weights.tobytes()
     assert reused.n_flip == forced.n_flip
+
+
+@pytest.mark.parametrize("name", ["tinycnn", "resnet20"])
+def test_shared_rows_come_from_the_engine_cache(name, attacker_images, monkeypatch):
+    from repro.autodiff import cone
+    from repro.engine import EvalEngine
+
+    model = _model(name)
+    images = attacker_images.images
+    shared = images[:64]
+    trigger = TriggerPattern.square(images.shape[1:], 10)
+    engine = EvalEngine(model)
+    clean = cft_module._CleanLogits(engine.plan, images, trigger, engine=engine, shared=shared)
+    engine.forward(shared)
+    forwarded = []
+    original = clean._keep_features
+
+    def recording(rows, features):
+        forwarded.append(rows)
+        return original(rows, features)
+
+    monkeypatch.setattr(clean, "_keep_features", recording)
+    idx = np.array([3, 70, 5, 100, 63])
+    with no_grad():
+        expected = model(Tensor(images[idx])).data
+    assert clean(idx).tobytes() == expected.tobytes()
+    # One adoption of rows [0, 64), then a forward of only the other rows.
+    assert [rows.tolist() for rows in forwarded] == [list(range(64)), [70, 100]]
+    # The first stamped pass plans the windows and stores the adopted rows'
+    # windowed outputs, which are exact too.
+    clean._plan(Tensor(trigger.apply(images[idx]), requires_grad=True))
+    for index, window in enumerate(clean._windows):
+        if window is not None:
+            assert clean._clean_output(index, idx[[0, 2, 4]]).tobytes() == (
+                engine.cached(shared, index)[[3, 5, 63]][cone.region(window.kept)].tobytes()
+            )
+    # A new trunk version adopts nothing until the engine has the subset there.
+    first = next(p for n, p in model.named_parameters() if n.endswith("weight"))
+    first.data = first.data * np.float32(0.5)
+    forwarded.clear()
+    clean(np.array([1, 2]))
+    assert [rows.tolist() for rows in forwarded] == [[1, 2]]

@@ -69,3 +69,35 @@ def test_missing_result_fails(perf_compare, tmp_path, capsys):
     (tmp_path / "change" / "sweep-micro.json").unlink()
     assert perf_compare.main([str(tmp_path / "parent"), str(tmp_path / "change")]) == 1
     assert "[FAIL] sweep-micro: no result" in capsys.readouterr().out
+
+
+def _compare_runs(perf_compare, tmp_path, parent_runs, change_runs):
+    """Write ``<workload>.<i>.json`` per run and side, then compare."""
+    for side, runs in (("parent", parent_runs), ("change", change_runs)):
+        (tmp_path / side).mkdir(exist_ok=True)
+        for workload in WORKLOADS:
+            for i, line in enumerate(runs, start=1):
+                (tmp_path / side / f"{workload}.{i}.json").write_text(json.dumps(line))
+    return perf_compare.main([str(tmp_path / "parent"), str(tmp_path / "change")])
+
+
+def test_three_runs_with_one_outlier_pass(perf_compare, tmp_path, capsys):
+    # One change run 1.26x slower (an A/A pair's spread on a 2-vCPU host):
+    # the median of three runs is unmoved.
+    parent = [_line(run_s=10.0), _line(run_s=10.2), _line(run_s=9.9)]
+    change = [_line(run_s=10.1), _line(run_s=12.6, setup_s=1.26), _line(run_s=9.8)]
+    assert _compare_runs(perf_compare, tmp_path, parent, change) == 0
+    assert "medians of 3 and 3 runs" in capsys.readouterr().out
+
+
+def test_three_runs_consistently_thirty_percent_slower_fail(perf_compare, tmp_path, capsys):
+    parent = [_line(run_s=10.0), _line(run_s=10.2), _line(run_s=9.9)]
+    change = [_line(run_s=13.0), _line(run_s=13.3), _line(run_s=12.9)]
+    assert _compare_runs(perf_compare, tmp_path, parent, change) == 1
+    assert "[FAIL] attack-resnet20 run_s" in capsys.readouterr().out
+
+
+def test_failed_share_counts_every_run(perf_compare, tmp_path, capsys):
+    change = [_line(), _line(failed=1), _line()]
+    assert _compare_runs(perf_compare, tmp_path, [_line()] * 3, change) == 1
+    assert "[FAIL] sweep-micro failed share" in capsys.readouterr().out

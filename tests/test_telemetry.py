@@ -301,6 +301,50 @@ class TestRegressionGate:
         assert lines[-1] == "bench-regression: 1 failed / 7 metrics"
 
 
+class TestClosedStdout:
+    """``repro bench-check ... | head -1``: the reader closes the pipe early."""
+
+    def _run(self, tmp_path, candidate_counters):
+        import os
+        import subprocess
+        import sys
+
+        # Enough lines to overflow a pipe buffer, so the writer must hit
+        # the closed pipe rather than finish into the buffer.
+        counters = {f"c.{i:05d}": float(i) for i in range(4000)}
+        for name, counters_ in (("base", counters), ("cand", candidate_counters(counters))):
+            (tmp_path / f"{name}.json").write_text(
+                json.dumps({"schema": telemetry.SCHEMA, "counters": counters_})
+            )
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "bench-check",
+             str(tmp_path / "base.json"), str(tmp_path / "cand.json")],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        stderr = proc.stderr.read().decode()
+        proc.stderr.close()
+        return proc.wait(timeout=60), first.decode(), stderr
+
+    def test_a_failing_gate_keeps_exit_1_without_a_traceback(self, tmp_path):
+        def drift(counters):
+            return {**counters, "c.00000": 1.0}
+
+        code, first, stderr = self._run(tmp_path, drift)
+        assert first.startswith("[FAIL] counter")
+        assert code == 1
+        assert "Traceback" not in stderr and "BrokenPipeError" not in stderr
+
+    def test_a_passing_gate_keeps_exit_0_without_a_traceback(self, tmp_path):
+        code, first, stderr = self._run(tmp_path, dict)
+        assert first.startswith("[  ok] counter")
+        assert code == 0
+        assert "Traceback" not in stderr and "BrokenPipeError" not in stderr
+
+
 class TestBenchBaseline:
     def test_fresh_bench_equals_the_committed_baseline_with_an_empty_cache(
         self, tmp_path, monkeypatch
