@@ -182,18 +182,14 @@ class _NotLocal(Exception):
 
 def _op_of(fn: Function, out_hw: Tuple[int, int], srcs: Tuple[int, ...]) -> _Op:
     if isinstance(fn, Conv2dFunction):
-        _, _, weight, _, stride, padding, _, _ = fn.saved
-        return _Op("conv", srcs, tuple(weight.shape[2:]), stride, padding, out_hw,
+        weight = fn.weight
+        return _Op("conv", srcs, fn.kernel, fn.stride, fn.padding, out_hw,
                    int(np.prod(weight.shape[1:])), int(weight.shape[0]))
-    if isinstance(fn, MaxPool2dFunction):
-        _, _, kernel, stride, _, _ = fn.saved
-        return _Op("pool", srcs, (kernel, kernel), stride, 0, out_hw)
-    if isinstance(fn, AvgPool2dFunction):
-        _, kernel, stride, _, _ = fn.saved
-        return _Op("pool", srcs, (kernel, kernel), stride, 0, out_hw)
+    if isinstance(fn, (MaxPool2dFunction, AvgPool2dFunction)):
+        return _Op("pool", srcs, (fn.kernel, fn.kernel), fn.stride, 0, out_hw)
     if isinstance(fn, ops.Add) and fn.saved[0] == fn.saved[1]:
         return _Op("add", srcs, out_hw=out_hw)
-    if isinstance(fn, ops.ReLU) or (isinstance(fn, BatchNorm2dFunction) and not fn.saved[3]):
+    if isinstance(fn, ops.ReLU) or (isinstance(fn, BatchNorm2dFunction) and not fn.training):
         return _Op("point", srcs, out_hw=out_hw)
     raise _NotLocal(type(fn).__name__)
 

@@ -14,6 +14,12 @@ Patch gradients reach col2im (:func:`_col2im`) in one layout, tap-major
 directly and the poolings pass a transposed view of their
 ``(N, L, C*kh*kw)`` columns, so one kernel serves all three.
 
+The tape keeps a convolution's input, not its patch matrix: the backward
+rebuilds the patches (a pure copy of the input's values) only when the
+weight needs a gradient.  The forward builds them per block of samples,
+at most :data:`PATCH_BLOCK_BYTES` at a time; the per-sample GEMM makes
+each sample's output independent of its block.
+
 Inside :func:`stacked_rows` the forward GEMM runs once over the batch's
 stacked patch rows instead of once per sample; the trigger's cone
 (:mod:`repro.autodiff.cone`) uses it where that reproduces the full map's
@@ -34,6 +40,11 @@ from repro.errors import ShapeError
 
 
 _gemm_mode = threading.local()
+
+# The most bytes of patch rows a convolution forward builds at once outside
+# :func:`stacked_rows` (at least one sample's).  Larger blocks leave larger
+# holes in the heap; smaller ones cost more page faults.
+PATCH_BLOCK_BYTES = 8 << 20
 
 
 @contextlib.contextmanager
@@ -57,6 +68,24 @@ def stacked_rows() -> Iterator[None]:
 
 def _out_size(size: int, kernel: int, stride: int, padding: int) -> int:
     return (size + 2 * padding - kernel) // stride + 1
+
+
+def _out_hw(
+    x_shape: Tuple[int, ...], kh: int, kw: int, stride: int, padding: int
+) -> Tuple[int, int]:
+    out_h = _out_size(x_shape[2], kh, stride, padding)
+    out_w = _out_size(x_shape[3], kw, stride, padding)
+    if out_h <= 0 or out_w <= 0:
+        raise ShapeError(
+            f"convolution output would be empty for input {x_shape}, "
+            f"kernel ({kh},{kw}), stride {stride}, padding {padding}"
+        )
+    return out_h, out_w
+
+
+def block_samples(rows: int, k: int, itemsize: int) -> int:
+    """Samples per forward block for ``(rows, k)`` patch matrices of ``itemsize``."""
+    return max(1, PATCH_BLOCK_BYTES // (rows * k * itemsize))
 
 
 @functools.lru_cache(maxsize=128)
@@ -99,13 +128,7 @@ def _im2col(
     operands.
     """
     n, c, h, w = x.shape
-    out_h = _out_size(h, kh, stride, padding)
-    out_w = _out_size(w, kw, stride, padding)
-    if out_h <= 0 or out_w <= 0:
-        raise ShapeError(
-            f"convolution output would be empty for input {x.shape}, "
-            f"kernel ({kh},{kw}), stride {stride}, padding {padding}"
-        )
+    out_h, out_w = _out_hw(x.shape, kh, kw, stride, padding)
     if padding:
         # The bytes np.pad would produce, without its per-call overhead.
         padded = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=x.dtype)
@@ -140,8 +163,35 @@ def _col2im(
     )
 
 
+def _blocked_conv(
+    x: np.ndarray, w_mat: np.ndarray, kh: int, kw: int, stride: int, padding: int, rows: int
+) -> np.ndarray:
+    """``(N, rows, out_c)`` conv output, its patches built one block of samples at a time.
+
+    The backend's per-sample GEMM makes each sample's rows independent of
+    the block it runs in, so the bytes are those of one call over the batch.
+    """
+    from repro.backend import current_backend
+
+    backend = current_backend()
+    n = x.shape[0]
+    block = block_samples(rows, w_mat.shape[1], x.itemsize)
+    if n <= block:
+        return backend.conv_cols_matmul(_im2col(x, kh, kw, stride, padding)[0], w_mat)
+    out = np.empty((n, rows, w_mat.shape[0]), dtype=np.result_type(x, w_mat))
+    for start in range(0, n, block):
+        cols, _, _ = _im2col(x[start:start + block], kh, kw, stride, padding)
+        out[start:start + block] = backend.conv_cols_matmul(cols, w_mat)
+    return out
+
+
 class Conv2dFunction(Function):
-    """2-D cross-correlation with optional bias (like torch.nn.functional.conv2d)."""
+    """2-D cross-correlation with optional bias (like torch.nn.functional.conv2d).
+
+    The node keeps the input ``x`` (which the tape holds anyway), the
+    weight and the geometry as attributes: ``kernel``, ``stride``,
+    ``padding`` and ``out_hw``.
+    """
 
     def forward(
         self,
@@ -158,37 +208,51 @@ class Conv2dFunction(Function):
             )
         from repro.backend import current_backend
 
-        cols, out_h, out_w = _im2col(x, kh, kw, stride, padding)
+        out_h, out_w = _out_hw(x.shape, kh, kw, stride, padding)
+        n, rows = x.shape[0], out_h * out_w
         w_mat = weight.reshape(out_c, -1)
         if getattr(_gemm_mode, "stacked", False):
-            n, rows, k = cols.shape
-            out = current_backend().conv_cols_matmul(cols.reshape(n * rows, k), w_mat)
+            # One GEMM over every sample's rows: splitting it would change
+            # its row count, and with it the BLAS kernel.
+            cols, _, _ = _im2col(x, kh, kw, stride, padding)
+            out = current_backend().conv_cols_matmul(cols.reshape(n * rows, -1), w_mat)
             out = out.reshape(n, rows, out_c)
         else:
-            out = current_backend().conv_cols_matmul(cols, w_mat)  # (N, out_h*out_w, out_c)
+            out = _blocked_conv(x, w_mat, kh, kw, stride, padding, rows)
         if bias is not None:
             out = out + bias
-        out = out.transpose(0, 2, 1).reshape(x.shape[0], out_c, out_h, out_w)
-        self.save_for_backward(cols, x.shape, weight, bias is not None, stride, padding, out_h, out_w)
+        out = out.transpose(0, 2, 1).reshape(n, out_c, out_h, out_w)
+        self.x, self.weight, self.has_bias = x, weight, bias is not None
+        self.kernel, self.stride, self.padding = (kh, kw), stride, padding
+        self.out_hw = (out_h, out_w)
         return out
 
     def backward(self, grad: np.ndarray) -> Sequence[Optional[np.ndarray]]:
         from repro.backend import current_backend
 
-        cols, x_shape, weight, has_bias, stride, padding, out_h, out_w = self.saved
+        x, weight = self.x, self.weight
         need_x, need_w = self.needs_input_grad[:2]
-        n = x_shape[0]
-        out_c, in_c, kh, kw = weight.shape
-        grad_mat = grad.reshape(n, out_c, out_h * out_w).transpose(0, 2, 1)  # (N, L, out_c)
+        (kh, kw), (out_h, out_w) = self.kernel, self.out_hw
+        n, rows = x.shape[0], out_h * out_w
+        out_c = weight.shape[0]
+        grad_mat = grad.reshape(n, out_c, rows).transpose(0, 2, 1)  # (N, L, out_c)
         w_mat = weight.reshape(out_c, -1)
+        if need_w:
+            # The forward's patches, rebuilt for the whole batch: the same
+            # values in the same layout, so the weight GEMM sums the same
+            # operands in the same order.
+            cols, _, _ = _im2col(x, kh, kw, self.stride, self.padding)
+        else:
+            # Unread by the kernel; a stride-0 stand-in of the patches' shape.
+            cols = np.broadcast_to(np.zeros((), dtype=x.dtype), (n, rows, w_mat.shape[1]))
 
         grad_cols, grad_w = current_backend().conv_grads(
             grad_mat, cols, w_mat, weight.shape, need_input=need_x, need_weight=need_w
         )
         grad_x = None
         if need_x:
-            grad_x = _col2im(grad_cols, x_shape, kh, kw, stride, padding, out_h, out_w)
-        if has_bias:
+            grad_x = _col2im(grad_cols, x.shape, kh, kw, self.stride, self.padding, out_h, out_w)
+        if self.has_bias:
             grad_b = grad_mat.sum(axis=(0, 1)) if self.needs_input_grad[2] else None
             return grad_x, grad_w, grad_b
         return grad_x, grad_w
@@ -204,11 +268,13 @@ class MaxPool2dFunction(Function):
         argmax = cols.argmax(axis=3)
         out = np.take_along_axis(cols, argmax[..., None], axis=3)[..., 0]
         out = out.transpose(0, 2, 1).reshape(n, c, out_h, out_w)
-        self.save_for_backward(x.shape, argmax, kernel, stride, out_h, out_w)
+        self.x_shape, self.argmax = x.shape, argmax
+        self.kernel, self.stride, self.out_hw = kernel, stride, (out_h, out_w)
         return out
 
     def backward(self, grad: np.ndarray) -> Sequence[Optional[np.ndarray]]:
-        x_shape, argmax, kernel, stride, out_h, out_w = self.saved
+        x_shape, argmax, kernel, stride = self.x_shape, self.argmax, self.kernel, self.stride
+        out_h, out_w = self.out_hw
         n, c, _, _ = x_shape
         grad_flat = grad.reshape(n, c, out_h * out_w).transpose(0, 2, 1)  # (N, L, C)
         grad_cols = np.zeros((n, out_h * out_w, c, kernel * kernel), dtype=grad.dtype)
@@ -228,11 +294,13 @@ class AvgPool2dFunction(Function):
         cols, _, _ = _im2col(x, kernel, kernel, stride, 0)
         cols = cols.reshape(n, out_h * out_w, c, kernel * kernel)
         out = cols.mean(axis=3).transpose(0, 2, 1).reshape(n, c, out_h, out_w)
-        self.save_for_backward(x.shape, kernel, stride, out_h, out_w)
+        self.x_shape = x.shape
+        self.kernel, self.stride, self.out_hw = kernel, stride, (out_h, out_w)
         return out
 
     def backward(self, grad: np.ndarray) -> Sequence[Optional[np.ndarray]]:
-        x_shape, kernel, stride, out_h, out_w = self.saved
+        x_shape, kernel, stride = self.x_shape, self.kernel, self.stride
+        out_h, out_w = self.out_hw
         n, c, _, _ = x_shape
         grad_flat = grad.reshape(n, c, out_h * out_w).transpose(0, 2, 1)
         # Broadcast the per-window mean gradient across the kernel axis; the

@@ -24,6 +24,8 @@ class BatchNorm2dFunction(Function):
 
     In training mode, normalizes with batch statistics and differentiates
     through them; in inference mode, uses the provided running statistics.
+    The statistics used are kept as ``batch_mean`` / ``batch_var``, the
+    mode as ``training``.
     The backward skips the ``grad_gamma``/``grad_beta`` reductions (and the
     input gradient) for inputs that need no gradient.
     """
@@ -50,6 +52,7 @@ class BatchNorm2dFunction(Function):
             var = running_var
         out, x_hat, inv_std = backend.batchnorm_apply(x, gamma, beta, mean, var, eps)
         self.save_for_backward(x_hat, inv_std, gamma, training)
+        self.training = training
         self.batch_mean = mean
         self.batch_var = var
         return out
@@ -91,14 +94,7 @@ def batch_norm2d(
     The batch statistics are returned so callers (the layer) can update
     running averages without recomputing them.
     """
-    ctx_holder = {}
-
-    class _Bound(BatchNorm2dFunction):
-        def forward(self, *args, **kwargs):  # noqa: D102 - thin capture shim
-            out = super().forward(*args, **kwargs)
-            ctx_holder["mean"] = self.batch_mean
-            ctx_holder["var"] = self.batch_var
-            return out
-
-    out = _Bound.apply(x, gamma, beta, running_mean, running_var, training, eps)
-    return out, ctx_holder["mean"], ctx_holder["var"]
+    out, node = BatchNorm2dFunction.apply_node(
+        x, gamma, beta, running_mean, running_var, training, eps
+    )
+    return out, node.batch_mean, node.batch_var

@@ -110,6 +110,15 @@ class Function:
 
     @classmethod
     def apply(cls, *args: Any, **kwargs: Any) -> "Tensor":
+        return cls.apply_node(*args, **kwargs)[0]
+
+    @classmethod
+    def apply_node(cls, *args: Any, **kwargs: Any) -> Tuple["Tensor", "Function"]:
+        """:meth:`apply`, also returning the node that ran the forward.
+
+        The node is returned whether or not it joined the tape, so a caller
+        can read what its forward computed besides the output.
+        """
         ctx = cls()
         tensor_inputs = tuple(a for a in args if isinstance(a, Tensor))
         raw_args = tuple(a.data if isinstance(a, Tensor) else a for a in args)
@@ -120,7 +129,7 @@ class Function:
             ctx.inputs = tensor_inputs
             ctx.needs_input_grad = tuple(t.requires_grad for t in tensor_inputs)
             out._creator = ctx
-        return out
+        return out, ctx
 
 
 class Tensor:

@@ -92,7 +92,8 @@ class NumpyBackend:
         :meth:`im2col_backward`) and ``grad_w`` has ``weight_shape``.
         ``need_input=False`` skips the ``grad_cols`` GEMM and
         ``need_weight=False`` the weight GEMM; a skipped part comes back as
-        ``None``, and a computed one is unchanged by the other flag.
+        ``None``, and a computed one is unchanged by the other flag.  Only
+        the weight GEMM reads ``cols``, the ``(N, L, C*kh*kw)`` patches.
         """
         # ``(grad_mat @ w_mat)`` transposed: each element is the same
         # out_c-long dot product, written tap-major for col2im.
