@@ -621,11 +621,12 @@ def build_parser() -> argparse.ArgumentParser:
     table2.add_argument("--methods", help="comma-separated subset of methods")
     table2.add_argument("--seed", type=int, default=0)
     table2.add_argument("--workers", type=int, default=1,
-                        help="process-pool size for the per-method fan-out")
+                        help="local worker processes for the per-method fan-out")
 
     sweep = sub.add_parser(
         "sweep",
-        help="run a (method x model x device x seed) grid across a process pool",
+        help="run a (method x model x device x seed) grid inline or across "
+             "local worker processes",
     )
     sweep.add_argument("--methods", default="BadNet,FT,TBT,CFT,CFT+BR",
                        help="comma-separated attack methods")
@@ -640,7 +641,8 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--target", type=int, default=2, help="backdoor target class")
     sweep.add_argument("--scale", choices=["micro", "tiny", "small", "full"],
                        help="experiment scale preset (default: REPRO_BENCH_SCALE)")
-    sweep.add_argument("--workers", type=int, default=1, help="process-pool size")
+    sweep.add_argument("--workers", type=int, default=1,
+                       help="local worker processes, draining a private task queue")
     sweep.add_argument("--shard", type=_shard_type, default=None, metavar="I/N",
                        help="run only shard I of an N-way contiguous split of the "
                             "canonical grid order (one journal per shard; reassemble "
@@ -676,10 +678,10 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar="SECONDS",
                        help="live status beacon refresh interval (0 disables; "
                             "queue mode writes to <queue>/beacons/ and the "
-                            "<queue>/timeline/ ring, pool/shard mode needs "
+                            "<queue>/timeline/ ring, other sweeps need "
                             "--live-dir)")
     sweep.add_argument("--live-dir", metavar="DIR", default=None,
-                       help="pool/shard mode: keep a live status beacon fresh "
+                       help="non-queue sweeps: keep a live status beacon fresh "
                             "in this directory for `repro watch`-style tooling "
                             "(sidecar only; never changes any output byte)")
 

@@ -9,8 +9,8 @@ quick benchmark or a full reproduction.
 Every Table II / Table III grid is embarrassingly parallel -- one
 :func:`run_single_experiment` per (method, model, device, seed) cell -- so
 the drivers here delegate fan-out to :mod:`repro.parallel`: the same cell
-function runs inline for ``workers=1`` and in a process pool otherwise,
-with byte-identical rows either way.
+function runs inline for ``workers=1`` and in local worker processes
+otherwise, with byte-identical rows either way.
 """
 
 from __future__ import annotations
@@ -157,7 +157,8 @@ def run_method_comparison(
     Returns one row dict per method with the offline/online N_flip, TA, ASR
     and r_match columns.  Each method runs against a fresh copy of the same
     deployed victim and a fresh memory system; with ``workers > 1`` the
-    methods fan out over a process pool (rows are identical either way).
+    methods fan out over local worker processes (rows are identical either
+    way).
     A permanently failed cell raises :class:`~repro.errors.SweepError`.
     """
     from repro.parallel import SweepGrid, run_sweep

@@ -41,6 +41,10 @@ class SweepError(ReproError):
     """A parallel experiment sweep was misconfigured or failed permanently."""
 
 
+class WorkerExitError(SweepError):
+    """A local sweep worker process exited with a nonzero code mid-task."""
+
+
 class MergeError(SweepError):
     """Merging sweep journals failed (or would silently lose data).
 

@@ -5,7 +5,7 @@ Every module logs through a child of the single ``repro`` logger::
     from repro.log import get_logger
 
     log = get_logger(__name__)
-    log.info("pool rebuilt after worker crash")
+    log.info("replacement worker started after a crash")
 
 Library rules apply: the package installs a :class:`logging.NullHandler`
 at import, never configures the root logger, and emits nothing unless the

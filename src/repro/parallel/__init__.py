@@ -5,9 +5,9 @@ package fans such grids out with deterministic output (worker count and
 scheduling never change numbers), JSONL checkpoint/resume and structured
 failure handling.  Two ways to run a grid, one journal model:
 
-- **Pool runner**: :func:`run_sweep` runs the grid -- or one contiguous
-  ``ShardSpec`` slice of it, for hosts with no shared filesystem -- over a
-  local process pool.
+- **Sweep runner**: :func:`run_sweep` runs the grid -- or one contiguous
+  ``ShardSpec`` slice of it, for hosts with no shared filesystem -- inline
+  or over local queue workers that drain a private queue.
 - **Work-stealing queue**: :func:`init_queue`/:func:`run_queue` expose the
   grid as a filesystem-backed queue that heterogeneous hosts claim from
   dynamically (:mod:`repro.parallel.scheduler`).
@@ -49,7 +49,7 @@ from repro.parallel.scheduler import (
     queue_status,
     run_queue,
 )
-from repro.parallel.worker import execute_task, initialize_worker, reset_worker_state
+from repro.parallel.worker import execute_task, reset_worker_state
 
 __all__ = [
     "JOURNAL_SCHEMA",
@@ -69,7 +69,6 @@ __all__ = [
     "execute_task",
     "grid_sha_of",
     "init_queue",
-    "initialize_worker",
     "load_queue",
     "merge_journals",
     "merged_events",

@@ -4,8 +4,8 @@ Every Table II / Table III reproduction is an embarrassingly parallel grid
 of independent :class:`~repro.core.pipeline.BackdoorPipeline` runs.  A
 :class:`SweepGrid` names that grid declaratively; :meth:`SweepGrid.expand`
 turns it into an ordered list of :class:`SweepTask` descriptors that are
-plain JSON-able data, so they can be pickled to pool workers and journaled
-to disk verbatim.
+plain JSON-able data, so they can be written to a queue manifest and
+journaled to disk verbatim.
 
 The expanded order is the **canonical grid order**: result rows, journal
 headers, telemetry merges and the content SHA (:func:`grid_sha_of`) all

@@ -57,14 +57,11 @@ def build_result_record(
     events: Optional[List[Dict[str, object]]] = None,
     **extra: object,
 ) -> Dict[str, object]:
-    """One ``result`` journal line, shared by the pool runner and the queue
-    scheduler so both journal byte-compatible records.
+    """One ``result`` journal line, whoever writes it.
 
     Successful records carry the row plus any captured telemetry (metrics,
-    span tree, flight-recorder events) -- the journal is a task's *complete*
-    output, which is what lets ``repro merge`` reassemble a sweep without
-    talking to the host that ran it.  Failed records carry the structured
-    ``error`` instead.
+    span tree, flight-recorder events), so ``repro merge`` can reassemble a
+    sweep from journals alone.  Failed records carry the ``error`` instead.
     """
     record: Dict[str, object] = {
         "kind": "result",

@@ -1,20 +1,20 @@
-"""Process-pool sweep runner with checkpoint/resume and retry-with-backoff.
+"""Sweep runner with checkpoint/resume and retry-with-backoff.
 
-The runner shards an expanded :class:`~repro.parallel.grid.SweepGrid`
-across ``ProcessPoolExecutor`` workers.  Three guarantees:
+The runner executes an expanded :class:`~repro.parallel.grid.SweepGrid`
+inline (``workers <= 1``) or over ``workers`` local queue workers: spawned
+processes that drain a private :mod:`repro.parallel.scheduler` queue in a
+temporary directory.  Three guarantees:
 
 - **Determinism**: every task carries its own explicit seed, result rows
   are returned in grid order, and worker telemetry is merged in grid order
   -- so ``workers=N`` never changes any output, numeric or telemetric.
 - **Checkpointing**: each finished task is appended (and flushed) to a
-  JSONL journal; ``resume=True`` skips tasks the journal already records
-  as successful, re-running only the remainder.
+  JSONL journal as soon as it commits; ``resume=True`` skips tasks the
+  journal already records as successful, re-running only the remainder.
 - **Degradation**: a task that raises is retried with exponential backoff
-  up to ``max_attempts``; a worker that dies outright (``BrokenProcessPool``)
-  breaks the whole pool, so in-flight siblings are resubmitted uncharged and
-  the rebuilt pool finishes serially -- only the provably-crashing task is
-  charged attempts, and the sweep finishes with a structured failure record
-  instead of crashing.
+  up to ``max_attempts``; a worker process that dies outright costs only
+  the task it leased one attempt, and a task that crashed ``max_attempts``
+  times gets a structured failure record instead of crashing the sweep.
 
 Multi-host scale-out layers on top of the same guarantees.  ``shard=(i, n)``
 runs one contiguous slice of the canonical grid order as the worker
@@ -29,18 +29,19 @@ byte-identical unsharded result.
 from __future__ import annotations
 
 import dataclasses
+import itertools
+import json
 import multiprocessing
 import os
 import socket
+import tempfile
 import time
-from collections import deque
+from multiprocessing.connection import wait
 from pathlib import Path
-from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
-from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from repro import telemetry
-from repro.errors import SweepError
+from repro.errors import SweepError, WorkerExitError
 from repro.log import get_logger
 from repro.parallel import worker
 from repro.parallel.grid import (
@@ -75,9 +76,51 @@ class TaskOutcome:
     spans: Optional[List[Dict[str, object]]] = None
     events: Optional[List[Dict[str, object]]] = None
 
+    @classmethod
+    def from_outcome(
+        cls, task: SweepTask, attempts: int, outcome: Dict[str, object]
+    ) -> "TaskOutcome":
+        """Build from a runner's outcome dict or a journaled result record."""
+        return cls(
+            task=task,
+            status=str(outcome.get("status", "failed")),
+            attempts=attempts,
+            duration_seconds=float(outcome.get("duration_seconds", 0.0)),
+            row=outcome.get("row"),
+            error=outcome.get("error"),
+            metrics=outcome.get("metrics"),
+            spans=outcome.get("spans"),
+            events=outcome.get("events"),
+        )
+
+    def record(self, worker: Optional[str] = None) -> Dict[str, object]:
+        """This outcome's ``result`` journal line (telemetry included, so
+        ``repro merge`` needs nothing else); ``worker`` names a queue worker."""
+        extra = {} if worker is None else {"worker": worker}
+        return build_result_record(
+            self.task.task_id, self.status, self.attempts, self.duration_seconds,
+            row=self.row, error=self.error, metrics=self.metrics,
+            spans=self.spans, events=self.events, **extra,
+        )
+
+
+class GridOutcomes:
+    """Rows and failures of a grid-ordered ``outcomes`` list."""
+
+    outcomes: List[TaskOutcome]
+
+    @property
+    def rows(self) -> List[Dict[str, object]]:
+        """Result rows of successful (or resumed) tasks, in grid order."""
+        return [o.row for o in self.outcomes if o.row is not None]
+
+    @property
+    def failures(self) -> List[TaskOutcome]:
+        return [o for o in self.outcomes if o.status == "failed"]
+
 
 @dataclasses.dataclass
-class SweepResult:
+class SweepResult(GridOutcomes):
     """Everything a finished sweep (or one shard of it) produced, in grid order.
 
     ``grid_sha`` and ``total_tasks`` always describe the *full* grid;
@@ -90,15 +133,6 @@ class SweepResult:
     journal_path: Optional[str] = None
     shard: ShardSpec = ShardSpec(0, 1)
     total_tasks: int = 0
-
-    @property
-    def rows(self) -> List[Dict[str, object]]:
-        """Result rows of successful (or resumed) tasks, in grid order."""
-        return [o.row for o in self.outcomes if o.row is not None]
-
-    @property
-    def failures(self) -> List[TaskOutcome]:
-        return [o for o in self.outcomes if o.status == "failed"]
 
     @property
     def resumed_count(self) -> int:
@@ -116,7 +150,6 @@ def run_sweep(
     resume: bool = False,
     max_attempts: int = 2,
     backoff_seconds: float = 0.25,
-    mp_context: str = "spawn",
     capture_telemetry: Optional[bool] = None,
     capture_events: Optional[bool] = None,
     task_runner: TaskRunner = worker.execute_task,
@@ -126,8 +159,8 @@ def run_sweep(
 ) -> SweepResult:
     """Run every grid task, fanned out over ``workers`` processes.
 
-    ``workers <= 1`` executes tasks inline (no pool) -- numerically
-    identical to any pooled run, since each task is a pure function of its
+    ``workers <= 1`` executes tasks inline -- numerically identical to a
+    run over local queue workers, since each task is a pure function of its
     descriptor.  ``capture_telemetry`` defaults to the parent's
     :func:`repro.telemetry.enabled` state; when on, worker metrics and
     span trees are merged into the parent registry in grid order.
@@ -210,36 +243,10 @@ def run_sweep(
         )
 
         def finalize(index: int, attempt: int, outcome_dict: Dict[str, object]) -> None:
-            outcome = TaskOutcome(
-                task=tasks[index],
-                status=str(outcome_dict.get("status", "failed")),
-                attempts=attempt,
-                duration_seconds=float(outcome_dict.get("duration_seconds", 0.0)),
-                row=outcome_dict.get("row"),
-                error=outcome_dict.get("error"),
-                metrics=outcome_dict.get("metrics"),
-                spans=outcome_dict.get("spans"),
-                events=outcome_dict.get("events"),
-            )
+            outcome = TaskOutcome.from_outcome(tasks[index], attempt, outcome_dict)
             outcomes[index] = outcome
             if journal is not None:
-                # Ship telemetry through the journal too: a journal is its
-                # task's *complete* output, so `repro merge` can rebuild the
-                # merged metrics snapshot and flight record without talking
-                # to the host that ran it.
-                journal.append(
-                    build_result_record(
-                        tasks[index].task_id,
-                        outcome.status,
-                        attempt,
-                        outcome.duration_seconds,
-                        row=outcome.row,
-                        error=outcome.error,
-                        metrics=outcome.metrics,
-                        spans=outcome.spans,
-                        events=outcome.events,
-                    )
-                )
+                journal.append(outcome.record())
             _beacon_progress()
 
         with telemetry.span("sweep", workers=workers, tasks=len(tasks)):
@@ -249,17 +256,14 @@ def run_sweep(
                         pending, payloads, task_runner, max_attempts, backoff_seconds, finalize
                     )
                 else:
-                    with worker.blas_thread_cap(workers):
-                        _run_pool(
-                            pending,
-                            payloads,
-                            task_runner,
-                            workers,
-                            max_attempts,
-                            backoff_seconds,
-                            mp_context,
-                            finalize,
-                        )
+                    processes = min(workers, len(pending))
+                    options = dict(
+                        task_runner=task_runner, max_attempts=max_attempts,
+                        backoff_seconds=backoff_seconds, capture_telemetry=capture_telemetry,
+                        capture_events=capture_events,
+                    )
+                    with worker.blas_thread_cap(processes):
+                        _run_local_queue(pending, tasks, processes, options, finalize)
             ordered = [outcomes[index] for index in range(len(tasks))]
             _record_sweep_telemetry(ordered)
     finally:
@@ -301,17 +305,11 @@ def _open_journal(
             record = completed.get(task.task_id)
             if record is None:
                 continue
-            outcomes[index] = TaskOutcome(
-                task=task,
+            # Restore journaled telemetry too, so a resumed shard's merged
+            # metrics/flight record still match a fresh run exactly.
+            outcomes[index] = dataclasses.replace(
+                TaskOutcome.from_outcome(task, int(record.get("attempts", 1)), record),
                 status="resumed",
-                attempts=int(record.get("attempts", 1)),
-                duration_seconds=float(record.get("duration_seconds", 0.0)),
-                row=record.get("row"),
-                # Restore journaled telemetry so a resumed shard's merged
-                # metrics/flight record still match a fresh run exactly.
-                metrics=record.get("metrics"),
-                spans=record.get("spans"),
-                events=record.get("events"),
             )
         if state.records:
             journal.append(
@@ -332,11 +330,6 @@ def _attempt_failure(exc: BaseException) -> Dict[str, object]:
     }
 
 
-def _backoff(backoff_seconds: float, attempt: int) -> None:
-    if backoff_seconds > 0:
-        time.sleep(backoff_seconds * (2 ** (attempt - 1)))
-
-
 def attempt_with_retries(
     payload: Dict[str, object],
     task_runner: TaskRunner,
@@ -347,7 +340,7 @@ def attempt_with_retries(
 
     Returns ``(attempts_used, outcome_dict)`` where the outcome is either
     the runner's (``status == "ok"``) or a structured failure after the
-    last attempt.  Shared by the inline pool path and the queue scheduler
+    last attempt.  Shared by the inline path and the queue scheduler
     so both record identical attempt semantics.
     """
     attempt = 1
@@ -358,7 +351,8 @@ def attempt_with_retries(
             outcome = _attempt_failure(exc)
         if outcome.get("status") == "ok" or attempt >= max_attempts:
             return attempt, outcome
-        _backoff(backoff_seconds, attempt)
+        if backoff_seconds > 0:
+            time.sleep(backoff_seconds * (2 ** (attempt - 1)))
         attempt += 1
 
 
@@ -377,86 +371,132 @@ def _run_inline(
         finalize(index, attempt, outcome)
 
 
-def _run_pool(
+def _queue_worker(queue_dir: str, worker_id: str, options: Dict[str, object]) -> None:
+    """Body of one spawned local worker: drain the private queue."""
+    from repro.parallel.scheduler import run_queue  # it imports this module
+
+    worker.reset_worker_state()
+    run_queue(queue_dir, worker_id=worker_id, beacon_interval=0, **options)
+
+
+def _run_local_queue(
     pending: Sequence[int],
-    payloads: Sequence[Dict[str, object]],
-    task_runner: TaskRunner,
-    workers: int,
-    max_attempts: int,
-    backoff_seconds: float,
-    mp_context: str,
+    tasks: Sequence[SweepTask],
+    processes: int,
+    options: Dict[str, object],
     finalize: Callable[[int, int, Dict[str, object]], None],
 ) -> None:
-    context = multiprocessing.get_context(mp_context)
-    queue: Deque[Tuple[int, int]] = deque((index, 1) for index in pending)
-    active: Dict[Future, Tuple[int, int]] = {}
-    executor: Optional[ProcessPoolExecutor] = None
-    # After a pool break the executor fails every in-flight future with
-    # BrokenProcessPool, so the actual crasher is indistinguishable from
-    # innocent victims.  Recovery therefore runs one task at a time: the
-    # sole in-flight task of a broken serial pool is provably the crasher
-    # and is the only one charged an attempt.
-    serial_recovery = False
+    """Run ``pending`` on ``processes`` spawned workers over a private queue.
 
-    def handle(index: int, attempt: int, outcome: Dict[str, object]) -> None:
-        if outcome.get("status") == "ok" or attempt >= max_attempts:
-            finalize(index, attempt, outcome)
-        else:
-            log.info(
-                "task #%d failed on attempt %d/%d; backing off and retrying",
-                index, attempt, max_attempts,
-            )
-            _backoff(backoff_seconds, attempt)
-            queue.append((index, attempt + 1))
+    ``options`` are the workers' :func:`~repro.parallel.scheduler.run_queue`
+    arguments.  The parent only supervises: it finalizes each task as soon
+    as its ``done/`` marker appears, reading the record from the winning
+    worker's journal.  A worker that exits nonzero can only have killed the
+    task it leased, so that task alone is charged an attempt; its lease is
+    freed at once (no TTL wait) and a replacement worker starts.  A task
+    that crashes ``max_attempts`` times is committed as failed here.
+    """
+    from repro.parallel import scheduler
 
-    try:
-        while queue or active:
-            if executor is None:
-                executor = ProcessPoolExecutor(
-                    max_workers=workers,
-                    mp_context=context,
-                    initializer=worker.initialize_worker,
-                )
-            while queue and not (serial_recovery and active):
-                index, attempt = queue.popleft()
-                active[executor.submit(task_runner, payloads[index])] = (index, attempt)
-            done, _ = wait(set(active), return_when=FIRST_COMPLETED)
-            pool_broken = False
-            for future in done:
-                index, attempt = active.pop(future)
-                try:
-                    outcome = future.result()
-                except (BrokenProcessPool, OSError) as exc:
-                    # A worker died without answering (os._exit, segfault,
-                    # OOM kill).  In serial recovery the dead task was alone
-                    # in flight, so the crash is its own and costs it an
-                    # attempt; in parallel mode it may be a collateral victim
-                    # of a sibling's crash, so it is requeued uncharged and
-                    # retried serially.
-                    pool_broken = True
-                    if serial_recovery:
-                        handle(index, attempt, _attempt_failure(exc))
-                    else:
-                        queue.append((index, attempt))
-                    continue
-                except Exception as exc:
-                    outcome = _attempt_failure(exc)
-                handle(index, attempt, outcome)
-            if pool_broken:
-                serial_recovery = True
-                log.warning(
-                    "process pool broke; resubmitting %d in-flight task(s) and "
-                    "finishing in serial recovery for exact crash attribution",
-                    len(active),
-                )
-                for index, attempt in active.values():
-                    queue.append((index, attempt))
-                active.clear()
-                executor.shutdown(wait=False, cancel_futures=True)
-                executor = None
-    finally:
-        if executor is not None:
-            executor.shutdown(wait=True)
+    context = multiprocessing.get_context("spawn")
+    serial = itertools.count()
+    procs: List[multiprocessing.process.BaseProcess] = []
+    crashes: Dict[int, int] = {}
+    offsets: Dict[str, int] = {}
+    records: Dict[Tuple[str, str], Dict[str, object]] = {}
+    finalized: Set[int] = set()
+
+    def spawn() -> None:
+        worker_id = f"local-{next(serial)}"
+        procs.append(context.Process(
+            target=_queue_worker, name=worker_id, args=(str(manifest.root), worker_id, options)
+        ))
+        procs[-1].start()
+
+    def read_record(worker_id: str, task_id: str) -> Optional[Dict[str, object]]:
+        # Each journal is read once, from where the last read stopped.
+        with open(manifest.journal_path(worker_id), "rb") as handle:
+            handle.seek(offsets.get(worker_id, 0))
+            chunk = handle.read()
+        chunk = chunk[: chunk.rfind(b"\n") + 1]
+        offsets[worker_id] = offsets.get(worker_id, 0) + len(chunk)
+        for line in chunk.splitlines():
+            try:
+                event = json.loads(line)
+            except ValueError:
+                continue  # a dead worker's torn line
+            if event.get("kind") == "result":
+                records[(worker_id, str(event.get("task_id")))] = event
+        return records.pop((worker_id, task_id), None)
+
+    def charge_crash(worker_id: str, exitcode: int) -> bool:
+        """Charge and free the dead worker's lease; False if it held none."""
+        for path in (manifest.root / scheduler.LEASE_DIR).glob("task-*.json"):
+            lease = scheduler.read_json(path)
+            if lease is None or lease.get("worker") != worker_id:
+                continue
+            index = int(lease["task_index"])
+            # A worker that died after committing its task owes nothing.
+            if not manifest.done_path(index).exists():
+                crashes[index] = crashes.get(index, 0) + 1
+                if crashes[index] >= int(options["max_attempts"]):
+                    exc = WorkerExitError(
+                        f"worker {worker_id} exited with code {exitcode} while "
+                        f"running {lease['task_id']}"
+                    )
+                    failure = TaskOutcome.from_outcome(
+                        manifest.tasks[index], crashes.pop(index), _attempt_failure(exc)
+                    )
+                    with SweepJournal(manifest.journal_path(worker_id)) as journal:
+                        journal.append(failure.record(worker=worker_id))
+                    scheduler.try_commit(manifest, scheduler.Lease(
+                        path, worker_id, failure.task.task_id, index, manifest.lease_ttl, 0.0
+                    ), "failed")
+            path.unlink()
+            return True
+        return False
+
+    with tempfile.TemporaryDirectory(prefix="repro-sweep-") as queue_dir:
+        manifest = scheduler.init_queue(queue_dir, [tasks[index] for index in pending])
+        done_dir = manifest.root / scheduler.DONE_DIR
+        try:
+            for _ in range(processes):
+                spawn()
+            while len(finalized) < len(pending):
+                wait([proc.sentinel for proc in procs], timeout=0.05)
+                owed = 0
+                for proc in [proc for proc in procs if proc.exitcode is not None]:
+                    procs.remove(proc)
+                    if proc.exitcode:
+                        log.warning("sweep worker %s exited with code %d",
+                                    proc.name, proc.exitcode)
+                        owed += charge_crash(proc.name, proc.exitcode)
+                for name in sorted(os.listdir(done_dir)):
+                    index = int(name[len("task-"):-len(".json")])
+                    if index in finalized:
+                        continue
+                    winner = scheduler.read_json(done_dir / name)
+                    if winner is None:
+                        continue  # the marker is still being written
+                    record = read_record(str(winner["worker"]), manifest.tasks[index].task_id)
+                    if record is not None:
+                        finalized.add(index)
+                        attempts = int(record["attempts"]) + crashes.pop(index, 0)
+                        finalize(pending[index], attempts, record)
+                if len(finalized) < len(pending):
+                    for _ in range(owed):
+                        spawn()
+                    if not procs:
+                        raise SweepError(
+                            f"every local sweep worker exited before "
+                            f"{len(pending) - len(finalized)} task(s) finished"
+                        )
+        finally:
+            # Every task is committed (or the sweep failed): a worker still
+            # alive is only polling, so stop it rather than wait for it.
+            for proc in procs:
+                proc.terminate()
+                proc.join()
 
 
 def _record_sweep_telemetry(ordered: Sequence[TaskOutcome]) -> None:

@@ -65,7 +65,7 @@ from repro.parallel.grid import (
     task_ids_of,
 )
 from repro.parallel.journal import SweepJournal, build_result_record, check_owner
-from repro.parallel.runner import TaskOutcome, TaskRunner, attempt_with_retries
+from repro.parallel.runner import GridOutcomes, TaskOutcome, TaskRunner, attempt_with_retries
 
 QUEUE_SCHEMA = 1
 DEFAULT_LEASE_TTL = 30.0
@@ -104,6 +104,14 @@ def sanitize_worker_id(worker_id: str) -> str:
 
 def _task_name(index: int) -> str:
     return f"task-{index:05d}"
+
+
+def read_json(path: Path) -> Optional[Dict[str, object]]:
+    """A queue file's payload; ``None`` while it is half-written, torn or gone."""
+    try:
+        return json.loads(path.read_text(encoding="utf-8"))
+    except (OSError, ValueError):
+        return None
 
 
 # ---------------------------------------------------------------------------
@@ -403,11 +411,7 @@ def try_commit(manifest: QueueManifest, lease: Lease, status: str) -> Tuple[bool
     except OSError as exc:
         if exc.errno != errno.EEXIST:
             raise
-        try:
-            payload = json.loads(path.read_text(encoding="utf-8"))
-            return False, str(payload.get("worker", "unknown"))
-        except (OSError, ValueError):
-            return False, "unknown"
+        return False, str((read_json(path) or {}).get("worker", "unknown"))
     with os.fdopen(fd, "w", encoding="utf-8") as handle:
         handle.write(
             json.dumps(
@@ -486,12 +490,8 @@ def queue_status(
         done_path = manifest.done_path(index)
         if done_path.exists():
             done += 1
-            try:
-                marker = json.loads(done_path.read_text(encoding="utf-8"))
-                if marker.get("status") == "failed":
-                    failed += 1
-            except (OSError, ValueError):
-                pass
+            if (read_json(done_path) or {}).get("status") == "failed":
+                failed += 1
             continue
         lease_path = manifest.lease_path(index)
         if lease_path.exists():
@@ -503,15 +503,12 @@ def queue_status(
                 "task_id": manifest.tasks[index].task_id,
                 "expired": is_expired,
             }
-            try:
-                payload = json.loads(lease_path.read_text(encoding="utf-8"))
-                entry["worker"] = payload.get("worker")
-                entry["expires_in_seconds"] = round(
-                    float(payload["deadline_unix"]) - clock, 3
-                )
-            except (OSError, ValueError, KeyError):
-                entry["worker"] = None
-                entry["expires_in_seconds"] = None
+            payload = read_json(lease_path) or {}
+            deadline = payload.get("deadline_unix")
+            entry["worker"] = payload.get("worker")
+            entry["expires_in_seconds"] = (
+                None if deadline is None else round(float(deadline) - clock, 3)
+            )
             leases.append(entry)
     workers = [p.name[: -len(".journal.jsonl")] for p in manifest.journal_paths()]
     beacons = live.read_beacons(manifest.root / BEACON_DIR)
@@ -580,7 +577,7 @@ class _Heartbeat:
 
 
 @dataclasses.dataclass
-class QueueRunResult:
+class QueueRunResult(GridOutcomes):
     """Everything one queue worker produced (its committed share of the grid)."""
 
     outcomes: List[TaskOutcome]
@@ -592,14 +589,6 @@ class QueueRunResult:
     steals: int = 0
     lease_expired: int = 0
     superseded: int = 0
-
-    @property
-    def rows(self) -> List[Dict[str, object]]:
-        return [o.row for o in self.outcomes if o.row is not None]
-
-    @property
-    def failures(self) -> List[TaskOutcome]:
-        return [o for o in self.outcomes if o.status == "failed"]
 
 
 def run_queue(
@@ -727,34 +716,13 @@ def run_queue(
                 )
             finally:
                 heartbeat.stop()
-            outcome = TaskOutcome(
-                task=manifest.tasks[lease.task_index],
-                status=str(outcome_dict.get("status", "failed")),
-                attempts=attempt,
-                duration_seconds=float(outcome_dict.get("duration_seconds", 0.0)),
-                row=outcome_dict.get("row"),
-                error=outcome_dict.get("error"),
-                metrics=outcome_dict.get("metrics"),
-                spans=outcome_dict.get("spans"),
-                events=outcome_dict.get("events"),
+            outcome = TaskOutcome.from_outcome(
+                manifest.tasks[lease.task_index], attempt, outcome_dict
             )
             # Append the full result BEFORE committing: a crash in the gap
             # duplicates work (another worker re-runs the task) but never
             # loses a committed task's bytes.
-            journal.append(
-                build_result_record(
-                    outcome.task.task_id,
-                    outcome.status,
-                    attempt,
-                    outcome.duration_seconds,
-                    row=outcome.row,
-                    error=outcome.error,
-                    metrics=outcome.metrics,
-                    spans=outcome.spans,
-                    events=outcome.events,
-                    worker=wid,
-                )
-            )
+            journal.append(outcome.record(worker=wid))
             won, winner = try_commit(manifest, lease, outcome.status)
             if won:
                 committed.append((lease.task_index, outcome))

@@ -1,42 +1,42 @@
-"""Sweep worker: runs one task in a (possibly forked/spawned) process.
+"""Sweep worker: runs one task, inline or in a spawned queue worker.
 
-Workers are plain functions over JSON-able payloads so they pickle cleanly
-into :class:`concurrent.futures.ProcessPoolExecutor`.  ``execute_task``
-never raises -- failures come back as structured outcome dicts, so one
-crashing task degrades the sweep instead of killing it.
+Workers are plain functions over JSON-able payloads, so a spawned local
+queue worker (:func:`repro.parallel.runner.run_sweep` with ``workers > 1``)
+can import them by reference.  ``execute_task`` never raises -- failures
+come back as structured outcome dicts, so one crashing task degrades the
+sweep instead of killing it.
 
 Process-global mutable state audit (what :func:`reset_worker_state` must
-cover, because ``fork`` workers inherit the parent's modules verbatim):
+cover; every local queue worker calls it before its first claim, so a
+worker process starts from the same clean slate however it was started):
 
 - :mod:`repro.telemetry`'s module-level registry/tracer/recorder and its
   two enabled flags (metrics and flight-recorder events) -- reset and
   disabled here; each task records into fresh isolated state.
 - :mod:`repro.telemetry.live`'s registry of active beacon writers --
-  *discarded* here (no final write): a forked worker inherits the parent's
-  writer objects but not their threads, and must never rewrite the
-  parent's beacon or timeline ring as its own.
+  *discarded* here (no final write): a worker must never rewrite another
+  process's beacon or timeline ring as its own.
 - :mod:`repro.rowhammer.device_profiles`' custom-profile registry --
   restored to the built-in Table I set.
 - The model-zoo disk cache (:mod:`repro.core.training`) is shared on
   purpose; writes are atomic (temp file + rename), so concurrent workers
   can never read a torn checkpoint.
 - :mod:`repro.core.training`'s split memo (the test and attacker splits
-  per ``(dataset, seed)``) is inherited under fork on purpose: its arrays
-  are read-only and fully determined by the key, so a stale entry cannot
-  exist and it needs no reset.
+  per ``(dataset, seed)``) needs no reset: its arrays are read-only and
+  fully determined by the key, so a stale entry cannot exist.
 - :data:`repro.models.MODEL_REGISTRY` and the quantization/page constants
-  are populated at import time and never mutated: safe under fork.
+  are populated at import time and never mutated.
 - :mod:`repro.engine` has no module-level state: engine *instances* (and
   their activation caches) are created per evaluation loop, so no cached
   activations can leak across tasks or processes.
 - :mod:`repro.backend`'s process-wide kernel instance is created at
-  import time and holds no state (no threads, no caches): safe under fork.
+  import time and holds no state (no threads, no caches).
 - The BLAS thread pool is sized once, when a process first loads NumPy.
-  Each pool worker would start ``os.cpu_count()`` BLAS threads, so
-  ``workers`` of them oversubscribe the host; :func:`blas_thread_cap`
-  puts ``cpu_count // workers`` threads in the environment spawned
-  workers start from, unless the user set a thread count.  A forked
-  worker inherits the parent's already-sized pool.  Inline runs keep the
+  Each local worker would start ``os.cpu_count()`` BLAS threads, so
+  several of them oversubscribe the host; :func:`blas_thread_cap` puts
+  ``cpu_count // processes`` threads in the environment the spawned
+  workers start from, where ``processes`` counts the workers actually
+  started, unless the user set a thread count.  Inline runs keep the
   default.
 """
 
@@ -74,9 +74,9 @@ def blas_thread_cap(workers: int) -> Iterator[None]:
     """Cap each spawned worker's BLAS threads so workers x threads <= CPUs.
 
     Sets every :data:`BLAS_THREAD_VARS` entry to ``cpu_count // workers``
-    (at least 1) in this process's environment, which spawned pool workers
-    inherit, and restores it on exit.  Leaves the environment alone when
-    the user already set any of them.
+    (at least 1) in this process's environment, which spawned queue
+    workers inherit, and restores it on exit.  Leaves the environment
+    alone when the user already set any of them.
     """
     if any(name in os.environ for name in BLAS_THREAD_VARS):
         yield
@@ -88,11 +88,6 @@ def blas_thread_cap(workers: int) -> Iterator[None]:
     finally:
         for name in BLAS_THREAD_VARS:
             os.environ.pop(name, None)
-
-
-def initialize_worker() -> None:
-    """``ProcessPoolExecutor`` initializer: start from a clean slate."""
-    reset_worker_state()
 
 
 def _run_task(task: SweepTask) -> Dict[str, float]:
@@ -135,7 +130,7 @@ def execute_task(payload: Dict[str, object]) -> Dict[str, object]:
         events = None
         # Always isolated (even when muted): an inline task must not leak
         # its pipeline counters/spans/events into the parent state, which
-        # would make workers=1 telemetry differ from pooled runs.
+        # would make workers=1 telemetry differ from multi-worker runs.
         with telemetry.isolated(enable=capture, record_events=capture_events) as (
             registry,
             tracer,

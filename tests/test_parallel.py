@@ -1,7 +1,7 @@
 """The parallel sweep runner: grids, journals, retries and determinism.
 
 Most tests drive :func:`repro.parallel.run_sweep` with fake task runners so
-the orchestration logic (retry, journaling, resume, pool-crash recovery,
+the orchestration logic (retry, journaling, resume, worker-crash recovery,
 telemetry merge) is exercised in milliseconds.  The end-to-end determinism
 and resume-after-kill tests at the bottom run the real micro-scale pipeline
 through the CLI; they are the ISSUE's tier-1 acceptance tests.
@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import json
 import os
+import tempfile
+import time
 
 import pytest
 
@@ -26,6 +28,7 @@ from repro.parallel import (
     reset_worker_state,
     run_sweep,
 )
+from repro.parallel.scheduler import DEFAULT_LEASE_TTL
 from repro.parallel.worker import BLAS_THREAD_VARS, blas_thread_cap
 from repro.rowhammer import available_profiles, register_profile, reset_profiles
 from repro.rowhammer.device_profiles import DeviceProfile
@@ -33,8 +36,8 @@ from repro.utils.rng import derive_seed
 
 
 # ---------------------------------------------------------------------------
-# Fake task runners.  Module-level so the spawn-based pool tests can pickle
-# them by reference.
+# Fake task runners.  Module-level so spawned queue workers can import them
+# by reference.
 def _ok_runner(payload):
     task = SweepTask.from_json(payload["task"])
     return {
@@ -82,6 +85,24 @@ def _crashing_runner(payload):
     if task.method == "crash":
         os._exit(17)  # simulates a segfault / OOM kill: no exception, no answer
     return _ok_runner(payload)
+
+
+def _journal_order_runner(payload):
+    """``b`` fails unless ``a``'s result reaches the sweep journal first."""
+    journal = payload["task"]["dataset"]  # smuggled sweep-journal path
+    task = SweepTask.from_json(payload["task"])
+    deadline = time.monotonic() + 60.0
+    while task.method == "b" and {"method": "a"} not in [
+        record.get("row") for record in SweepJournal.load(journal).completed.values()
+    ]:
+        if time.monotonic() > deadline:
+            return {
+                "status": "failed",
+                "error": {"type": "TimeoutError", "message": "a never journaled",
+                          "traceback": ""},
+            }
+        time.sleep(0.05)
+    return {"status": "ok", "row": {"method": task.method}, "duration_seconds": 0.0}
 
 
 def _metrics_runner(payload):
@@ -296,21 +317,26 @@ def test_run_sweep_merges_worker_telemetry_in_grid_order():
 
 
 # ---------------------------------------------------------------------------
-# Runner orchestration (real process pool).
+# Runner orchestration (real local queue workers).
 def test_run_sweep_pool_matches_inline_with_fake_runner():
     grid = _grid(methods=("a", "b", "c", "d"))
     inline = run_sweep(grid, workers=1, task_runner=_ok_runner)
-    pooled = run_sweep(grid, workers=2, task_runner=_ok_runner)
-    assert json.dumps(inline.rows, sort_keys=True) == json.dumps(pooled.rows, sort_keys=True)
+    queued = run_sweep(grid, workers=2, task_runner=_ok_runner)
+    assert json.dumps(inline.rows, sort_keys=True) == json.dumps(queued.rows, sort_keys=True)
 
 
-def test_pool_workers_start_with_capped_blas_threads(monkeypatch):
+def test_queue_workers_start_with_capped_blas_threads(monkeypatch):
     for name in BLAS_THREAD_VARS:
         monkeypatch.delenv(name, raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 5)
-    pooled = run_sweep(_grid(methods=("a", "b")), workers=2, task_runner=_blas_env_runner)
-    assert [row["blas"] for row in pooled.rows] == [["2"] * 3] * 2
-    # Inline runs, and the parent after the pool, keep the default.
+    queued = run_sweep(_grid(methods=("a", "b")), workers=2, task_runner=_blas_env_runner)
+    assert [row["blas"] for row in queued.rows] == [["2"] * 3] * 2
+    # Two tasks start two workers, however many were asked for: each gets
+    # half of 8 CPUs, not a quarter.
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    queued = run_sweep(_grid(methods=("a", "b")), workers=4, task_runner=_blas_env_runner)
+    assert [row["blas"] for row in queued.rows] == [["4"] * 3] * 2
+    # Inline runs, and the parent after the workers, keep the default.
     inline = run_sweep(_grid(methods=("a",)), workers=1, task_runner=_blas_env_runner)
     assert inline.rows[0]["blas"] == [None] * 3
     assert not any(name in os.environ for name in BLAS_THREAD_VARS)
@@ -357,22 +383,36 @@ def test_blas_thread_cap_yields_to_any_one_user_setting(monkeypatch, user_var):
     assert os.environ[user_var] == "7"
 
 
-def test_run_sweep_survives_worker_crash():
+def test_run_sweep_survives_worker_crash(tmp_path, monkeypatch):
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
     grid = _grid(methods=("a", "crash", "b"))
+    start = time.monotonic()
     result = run_sweep(grid, workers=2, task_runner=_crashing_runner,
                        max_attempts=2, backoff_seconds=0.0)
+    # A dead worker's lease is freed at once, not stolen after its TTL.
+    assert time.monotonic() - start < DEFAULT_LEASE_TTL / 2
     assert [row["method"] for row in result.rows] == ["a", "b"]
     (failure,) = result.failures
     assert failure.task.method == "crash"
     assert failure.attempts == 2
-    assert failure.error["type"] in ("BrokenProcessPool", "OSError")
+    assert failure.error["type"] == "WorkerExitError"
+    assert "exited with code 17" in failure.error["message"]
+    assert not list(tmp_path.glob("repro-sweep-*"))  # the private queue is gone
 
 
-def test_pool_break_never_charges_innocent_siblings():
-    # When a crasher takes the pool down, every in-flight sibling fails
-    # with the same BrokenProcessPool -- the runner must requeue them
-    # uncharged (finishing in serial recovery) rather than burning their
-    # attempts on a crash that was not theirs.
+def test_run_sweep_journals_each_task_as_it_finishes(tmp_path):
+    journal = str(tmp_path / "sweep.jsonl")
+    grid = [SweepTask(method=method, model="m", device="K1", seed=0, dataset=journal)
+            for method in ("a", "b")]
+    result = run_sweep(grid, workers=2, journal_path=journal,
+                       task_runner=_journal_order_runner, max_attempts=1)
+    assert [row["method"] for row in result.rows] == ["a", "b"], result.failures
+
+
+def test_worker_crash_never_charges_innocent_siblings():
+    # Each task runs in its own worker process, so a crasher takes down
+    # only the task it leased: its siblings must finish uncharged rather
+    # than burn their attempts on a crash that was not theirs.
     methods = ("a", "b", "crash", "c", "d", "e", "f")
     grid = _grid(methods=methods)
     result = run_sweep(grid, workers=4, task_runner=_crashing_runner,
@@ -409,7 +449,10 @@ def test_register_profile_rejects_builtin_shadowing():
 
 # ---------------------------------------------------------------------------
 # End-to-end acceptance: the real micro-scale pipeline through the CLI.
-def test_cli_sweep_is_deterministic_across_worker_counts_and_resumes(tmp_path, monkeypatch):
+@pytest.mark.parametrize("resume_workers", ["1", "2"])
+def test_cli_sweep_is_deterministic_across_worker_counts_and_resumes(
+    tmp_path, monkeypatch, resume_workers
+):
     """workers=1 and workers=4 produce byte-identical row files (and flight
     records), and a sweep killed mid-journal resumes to the same table."""
     from repro.cli import main
@@ -428,7 +471,7 @@ def test_cli_sweep_is_deterministic_across_worker_counts_and_resumes(tmp_path, m
                         "--events", str(events4)]) == 0
     assert out1.read_bytes() == out4.read_bytes()
     # Worker events are merged in grid order, so the flight record is also
-    # byte-identical across pool sizes.
+    # byte-identical across worker counts.
     assert events1.read_bytes() == events4.read_bytes()
     manifest = read_manifest(
         manifest_path_for(out1.with_name(out1.name + ".journal.jsonl"))
@@ -445,7 +488,7 @@ def test_cli_sweep_is_deterministic_across_worker_counts_and_resumes(tmp_path, m
     cut = tmp_path / "cut.journal.jsonl"
     cut.write_text("".join(lines[:2]) + lines[2][: len(lines[2]) // 2])
     out_resumed = tmp_path / "rows_resumed.json"
-    assert main(argv + ["--workers", "1", "--out", str(out_resumed),
+    assert main(argv + ["--workers", resume_workers, "--out", str(out_resumed),
                         "--journal", str(cut), "--resume"]) == 0
     assert json.loads(out_resumed.read_text()) == rows
     state = SweepJournal.load(str(cut))
@@ -478,7 +521,7 @@ def test_cli_sweep_reports_sweep_errors_as_one_line_and_exit_2(tmp_path, capsys)
 
 
 def test_run_method_comparison_delegates_to_the_runner(tmp_path, monkeypatch):
-    """Table II via the sweep runner: inline and pooled rows are identical,
+    """Table II via the sweep runner: inline and worker rows are identical,
     and a permanently failing cell raises SweepError."""
     from repro.core.experiment import SCALE_PRESETS, run_method_comparison
 
