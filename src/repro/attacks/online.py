@@ -125,9 +125,9 @@ class OnlineInjector:
                     key=lambda loc: self._flip_priority(original, desired, loc),
                 )
                 extra_targets[page] = [best]
-            used = set(match.assignments.values())
-            fallback_templater = _RestrictedTemplater(templater, used)
-            fallback_match = fallback_templater.match(extra_targets)
+            fallback_match = templater.match(
+                extra_targets, exclude=match.assignments.values()
+            )
             match.assignments.update(fallback_match.assignments)
             match.matched_pages = sorted(
                 set(match.matched_pages) | set(fallback_match.matched_pages)
@@ -236,17 +236,11 @@ class OnlineInjector:
         return self.os.mmap_file(file_id)
 
     def _hammer_targets(self, assignments: Dict[int, int]) -> float:
-        """Hammer the row of every target frame with the online pattern."""
+        """Hammer the row of every target frame, once each, with the online pattern."""
         start = self.engine.total_seconds
-        geometry = self.os.dram.geometry
-        hammered: set = set()
-        for frame in assignments.values():
-            address = geometry.frame_address(frame)
-            key = (address.bank, address.row)
-            if key in hammered:
-                continue
-            hammered.add(key)
-            self.engine.hammer_victim(address.bank, address.row, self.n_sides)
+        addresses = map(self.os.dram.geometry.frame_address, assignments.values())
+        rows = dict.fromkeys((address.bank, address.row) for address in addresses)
+        self.engine.hammer_victim(list(rows), self.n_sides)
         return self.engine.total_seconds - start
 
     def _score(
@@ -333,22 +327,3 @@ class OnlineInjector:
             placement_verified=placement_ok,
         )
 
-
-class _RestrictedTemplater:
-    """Templater view that refuses frames already claimed by the main match."""
-
-    def __init__(self, base: PageTemplater, used_frames: set) -> None:
-        self._base = base
-        self._used = set(used_frames)
-
-    def match(self, targets_by_page: Dict[int, List[BitLocation]]):
-        # Temporarily hide used frames from the base templater's index.
-        hidden = {
-            frame: self._base._frame_flips.pop(frame)
-            for frame in list(self._base._frame_flips)
-            if frame in self._used
-        }
-        try:
-            return self._base.match(targets_by_page)
-        finally:
-            self._base._frame_flips.update(hidden)

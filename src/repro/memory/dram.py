@@ -358,27 +358,6 @@ class DRAMArray:
             }
             yield rng
 
-    def filled_row_flips(
-        self, bank: int, row: int, intensity: float, fill: int
-    ) -> List[Tuple[int, int, int]]:
-        """The flips :meth:`hammer_row` makes in a row that holds ``fill`` everywhere.
-
-        ``fill`` is 0x00 or 0xFF.  Under such a fill a reached cell fires
-        exactly when its direction opposes the fill, so the flips depend on
-        the cell map alone: the row's bytes are neither read nor written.
-        """
-        if fill not in (0x00, 0xFF):
-            raise MemoryModelError(f"fill must be 0x00 or 0xFF, got {fill!r}")
-        if intensity <= 0:
-            return []
-        cells = self.vulnerable_cells(bank, row)
-        direction = 1 if fill == 0x00 else -1
-        fire = cells.direction == direction
-        if intensity < 1.0:  # every strength is below 1
-            fire &= cells.strength <= intensity
-        column, bit = cells.column[fire].tolist(), cells.bit[fire].tolist()
-        return list(zip(column, bit, [direction] * len(column)))
-
     def hammer_row(self, bank: int, row: int, intensity: float) -> List[Tuple[int, int, int]]:
         """Disturb one victim row with the given hammer intensity.
 

@@ -335,15 +335,18 @@ def attempt_with_retries(
     task_runner: TaskRunner,
     max_attempts: int,
     backoff_seconds: float,
+    spent: int = 0,
 ) -> Tuple[int, Dict[str, object]]:
     """Run one task payload with retry-and-backoff; never raises.
 
     Returns ``(attempts_used, outcome_dict)`` where the outcome is either
     the runner's (``status == "ok"``) or a structured failure after the
-    last attempt.  Shared by the inline path and the queue scheduler
-    so both record identical attempt semantics.
+    last attempt.  ``spent`` attempts were already charged to the task
+    (worker crashes); they count towards ``max_attempts`` and
+    ``attempts_used``, and at least one attempt runs.  Shared by the inline
+    path and the queue scheduler so both record identical attempt semantics.
     """
-    attempt = 1
+    attempt = spent + 1
     while True:
         try:
             outcome = task_runner(payload)
@@ -394,14 +397,16 @@ def _run_local_queue(
     worker's journal.  A worker that exits nonzero can only have killed the
     task it leased, so that task alone is charged an attempt; its lease is
     freed at once (no TTL wait) and a replacement worker starts.  A task
-    that crashes ``max_attempts`` times is committed as failed here.
+    that crashes ``max_attempts`` times is committed as failed here.  The
+    charge is written into the queue before the lease is freed, and the
+    worker that reruns the task counts on from it, so its record counts
+    each crash and each in-process attempt once.
     """
     from repro.parallel import scheduler
 
     context = multiprocessing.get_context("spawn")
     serial = itertools.count()
     procs: List[multiprocessing.process.BaseProcess] = []
-    crashes: Dict[int, int] = {}
     offsets: Dict[str, int] = {}
     records: Dict[Tuple[str, str], Dict[str, object]] = {}
     finalized: Set[int] = set()
@@ -438,14 +443,14 @@ def _run_local_queue(
             index = int(lease["task_index"])
             # A worker that died after committing its task owes nothing.
             if not manifest.done_path(index).exists():
-                crashes[index] = crashes.get(index, 0) + 1
-                if crashes[index] >= int(options["max_attempts"]):
+                charged = scheduler.charge_attempt(manifest, index)
+                if charged >= int(options["max_attempts"]):
                     exc = WorkerExitError(
                         f"worker {worker_id} exited with code {exitcode} while "
                         f"running {lease['task_id']}"
                     )
                     failure = TaskOutcome.from_outcome(
-                        manifest.tasks[index], crashes.pop(index), _attempt_failure(exc)
+                        manifest.tasks[index], charged, _attempt_failure(exc)
                     )
                     with SweepJournal(manifest.journal_path(worker_id)) as journal:
                         journal.append(failure.record(worker=worker_id))
@@ -481,8 +486,7 @@ def _run_local_queue(
                     record = read_record(str(winner["worker"]), manifest.tasks[index].task_id)
                     if record is not None:
                         finalized.add(index)
-                        attempts = int(record["attempts"]) + crashes.pop(index, 0)
-                        finalize(pending[index], attempts, record)
+                        finalize(pending[index], int(record["attempts"]), record)
                 if len(finalized) < len(pending):
                     for _ in range(owed):
                         spawn()

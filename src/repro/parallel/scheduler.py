@@ -23,6 +23,10 @@ atomic filesystem primitives.
   *after* the result record is in the worker's journal.  The done marker,
   not the lease, is the authoritative commit: leases are merely an
   optimization that keeps duplicate work rare.
+- **Charge**: a supervisor that sees a worker die (the parent of a local
+  ``--workers`` sweep) writes the task's crash count to
+  ``charges/task-NNNNN.json`` before it frees the lease; the next claimer
+  counts its attempts on from there.
 
 Duplicate completions (possible when a slow-but-alive owner is stolen
 from) are resolved at commit time: the loser appends a
@@ -79,6 +83,9 @@ MANIFEST_NAME = "queue.json"
 LEASE_DIR = "leases"
 DONE_DIR = "done"
 JOURNAL_DIR = "journals"
+#: Attempts already charged to a task by a supervising parent (worker
+#: crashes of a local sweep), one file per task.
+CHARGE_DIR = "charges"
 #: Live-side (non-deterministic, advisory) artifacts live in their own
 #: subdirectories so nothing the merge reads can ever pick them up.
 BEACON_DIR = "beacons"
@@ -114,6 +121,27 @@ def read_json(path: Path) -> Optional[Dict[str, object]]:
         return None
 
 
+def charged_attempts(manifest: "QueueManifest", index: int) -> int:
+    """Attempts charged to task ``index`` before it was claimed (0 if none)."""
+    return int((read_json(manifest.charge_path(index)) or {}).get("attempts", 0))
+
+
+def charge_attempt(manifest: "QueueManifest", index: int) -> int:
+    """Charge task ``index`` one more attempt; returns its new charge.
+
+    Only the task's supervisor calls this, before it deletes the dead
+    worker's lease; the file is replaced whole, so a worker that claims the
+    task once the lease is gone reads the full count.
+    """
+    charged = charged_attempts(manifest, index) + 1
+    path = manifest.charge_path(index)
+    path.parent.mkdir(exist_ok=True)
+    tmp = path.with_suffix(".tmp")
+    tmp.write_text(json.dumps({"attempts": charged}), encoding="utf-8")
+    os.replace(tmp, path)
+    return charged
+
+
 # ---------------------------------------------------------------------------
 # Queue manifest
 # ---------------------------------------------------------------------------
@@ -142,6 +170,9 @@ class QueueManifest:
 
     def journal_path(self, worker_id: str) -> Path:
         return self.root / JOURNAL_DIR / f"{worker_id}.journal.jsonl"
+
+    def charge_path(self, index: int) -> Path:
+        return self.root / CHARGE_DIR / (_task_name(index) + ".json")
 
     def journal_paths(self) -> List[Path]:
         return sorted((self.root / JOURNAL_DIR).glob("*.jsonl"))
@@ -712,7 +743,8 @@ def run_queue(
                     "events": capture_events,
                 }
                 attempt, outcome_dict = attempt_with_retries(
-                    payload, task_runner, max_attempts, backoff_seconds
+                    payload, task_runner, max_attempts, backoff_seconds,
+                    spent=charged_attempts(manifest, lease.task_index),
                 )
             finally:
                 heartbeat.stop()

@@ -7,10 +7,11 @@ a :class:`FlipProfile`: the device's usable fault map in page coordinates,
 which the templating step matches against the weight file's needed flips.
 
 Under a uniform fill the outcome of hammering does not depend on what the
-row held, so the fills are virtual: each (row, fill) is one
-:meth:`HammerEngine.hammer_victim` attempt with that ``fill`` (counted and
-flight-recorded as such), which reads the row's cell map and never touches
-its bytes.  Rows are taken in batches whose fault maps are drawn together.
+row held, so the fills are virtual: each batch of rows is one
+:meth:`HammerEngine.hammer_victim` call with both fills, which reads the
+rows' cell maps and never touches their bytes; each (row, fill) is still
+one attempt, counted and flight-recorded as such.  Fault maps are drawn a
+few batches ahead.
 The profile itself is columnar -- one array per field, one entry per flip;
 :attr:`FlipProfile.records` builds :class:`FlipRecord` objects on demand.
 """
@@ -19,7 +20,6 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import itertools
 from typing import List, Sequence, Tuple
 
 import numpy as np
@@ -199,21 +199,13 @@ class MemoryProfiler:
                 if reaches_cells and lo % ahead == 0:
                     dram.vulnerable_cells(*rows[lo], prefetch=rows[lo + 1 : lo + ahead])
                 batch_rows = rows[lo : lo + batch]
-                flips, counts = [], []
-                for bank, row in batch_rows:
-                    before = len(flips)
-                    for fill in (0x00, 0xFF):
-                        flips += self.engine.hammer_victim(bank, row, n_sides, fill).flips
-                    counts.append(len(flips) - before)
-                flat = np.fromiter(itertools.chain.from_iterable(flips), np.int64, 3 * len(flips))
-                column, bit, direction = flat.reshape(-1, 3).T
-                owner = np.repeat(chunks[lo : lo + len(batch_rows)], counts)
-                frame = owner * geometry.pages_per_row + column // PAGE_FRAME_SIZE
+                hit = self.engine.hammer_victim(batch_rows, n_sides, fills=(0x00, 0xFF))
+                owner = np.repeat(np.repeat(chunks[lo : lo + len(batch_rows)], 2), hit.counts)
+                frame = owner * geometry.pages_per_row + hit.column // PAGE_FRAME_SIZE
                 slot = np.searchsorted(wanted, frame)  # wanted is sorted
                 keep = wanted[np.minimum(slot, wanted.size - 1)] == frame
-                found.append(
-                    (frame[keep], column[keep] % PAGE_FRAME_SIZE, bit[keep], direction[keep])
-                )
+                offset = hit.column[keep] % PAGE_FRAME_SIZE
+                found.append((frame[keep], offset, hit.bit[keep], hit.direction[keep]))
         # Columns of (frame, byte_offset, bit, direction), rows concatenated.
         columns = (
             [np.concatenate(column) for column in zip(*found)]

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from repro.errors import MemoryModelError
 from repro.memory.dram import _ARRAY_SEEDING_MIN_ROWS, DRAMArray, _pcg64_states
 from repro.memory.geometry import DRAMGeometry, PAGE_FRAME_SIZE
+from repro.rowhammer import HammerEngine, get_profile
 from tests.reference_dram import reference_cells, reference_hammer
 
 
@@ -293,29 +294,41 @@ class TestBatchedDraw:
 
 
 class TestFilledRowFlips:
-    """``filled_row_flips`` equals hammering a row that holds the fill byte."""
+    """``hammer_victim`` with fills equals hammering rows that hold the fill byte."""
+
+    # (device, n_sides): intensities 0.45 and 1.0 (DDR3); 0, 0.19, 0.50, 0.70, 1.0 (DDR4).
+    patterns = [("A1", 1), ("A1", 2), ("K1", 2), ("K1", 3), ("K1", 7), ("K1", 11), ("K1", 15)]
 
     @settings(max_examples=30, deadline=None)
     @given(
         params=devices,
-        key=row_keys,
+        keys=st.lists(row_keys, min_size=1, max_size=6, unique=True),
         content=st.binary(min_size=1, max_size=64),
-        intensity=st.sampled_from([0.0, 0.2, 0.45, 0.7, 1.0]),
+        pattern=st.sampled_from(patterns),
+        fills=st.sampled_from([(0x00, 0xFF), (0xFF, 0x00), (0xFF,)]),
     )
-    def test_equals_hammer_row_on_a_filled_row(self, params, key, content, intensity):
+    def test_equals_hammer_row_on_a_filled_row(self, params, keys, content, pattern, fills):
         dram = device_for(params)
+        engine = HammerEngine(dram, get_profile(pattern[0]))
         size = dram.geometry.row_size_bytes
-        data = dram.row_buffer(*key)
-        data[:] = np.resize(np.frombuffer(content, dtype=np.uint8), size)
-        before = data.copy()
-        for fill in (0x00, 0xFF):
-            flips = dram.filled_row_flips(*key, intensity, fill)
-            assert np.array_equal(dram.row_buffer(*key), before)  # bytes untouched
+        for key in keys:
+            dram.row_buffer(*key)[:] = np.resize(np.frombuffer(content, dtype=np.uint8), size)
+        before = {key: data.copy() for key, data in dram._rows.items()}
+        hit = engine.hammer_victim(keys, pattern[1], fills)
+        assert dram._rows.keys() == before.keys()  # bytes untouched
+        assert all(np.array_equal(dram._rows[key], data) for key, data in before.items())
+        attempts = [(key, fill) for key in keys for fill in fills]
+        assert list(zip(hit.bank.tolist(), hit.row.tolist())) == [key for key, _ in attempts]
+        assert all(c.dtype == np.int64 for c in (hit.column, hit.bit, hit.direction))
+        flips = list(zip(hit.column.tolist(), hit.bit.tolist(), hit.direction.tolist()))
+        bounds = np.cumsum(hit.counts).tolist()
+        for (key, fill), lo, hi in zip(attempts, [0] + bounds[:-1], bounds):
             filled = DRAMArray(dram.geometry, dram.flips_per_page_mean, seed=params["seed"])
             filled.row_buffer(*key).fill(fill)
-            assert flips == filled.hammer_row(*key, intensity)
+            assert flips[lo:hi] == filled.hammer_row(*key, engine.intensity(pattern[1]))
 
     def test_rejects_a_fill_that_is_not_uniform(self, geometry):
         dram = DRAMArray(geometry, flips_per_page_mean=30.0, seed=2)
+        engine = HammerEngine(dram, get_profile("A1"))
         with pytest.raises(MemoryModelError, match="fill"):
-            dram.filled_row_flips(0, 0, 1.0, 0x01)
+            engine.hammer_victim([(0, 0)], 2, fills=(0x01,))

@@ -87,6 +87,19 @@ def _crashing_runner(payload):
     return _ok_runner(payload)
 
 
+def _crash_then_raise_runner(payload):
+    """``crash`` kills its worker on the first call per marker file, then raises."""
+    marker = payload["task"]["dataset"]  # smuggled marker path
+    task = SweepTask.from_json(payload["task"])
+    if task.method != "crash":
+        return _ok_runner(payload)
+    if not os.path.exists(marker):
+        with open(marker, "w", encoding="utf-8") as handle:
+            handle.write("seen")
+        os._exit(17)
+    raise RuntimeError("still broken")
+
+
 def _journal_order_runner(payload):
     """``b`` fails unless ``a``'s result reaches the sweep journal first."""
     journal = payload["task"]["dataset"]  # smuggled sweep-journal path
@@ -407,6 +420,21 @@ def test_run_sweep_journals_each_task_as_it_finishes(tmp_path):
     result = run_sweep(grid, workers=2, journal_path=journal,
                        task_runner=_journal_order_runner, max_attempts=1)
     assert [row["method"] for row in result.rows] == ["a", "b"], result.failures
+
+
+def test_crash_and_rerun_share_one_attempt_budget(tmp_path):
+    # The crash is charged in the queue before the rerun claims the task,
+    # so the rerun's own failure is the second and last attempt.
+    marker = str(tmp_path / "crashed")
+    grid = [SweepTask(method=method, model="m", device="K1", seed=0, dataset=marker)
+            for method in ("a", "crash")]
+    result = run_sweep(grid, workers=2, task_runner=_crash_then_raise_runner,
+                       max_attempts=2, backoff_seconds=0.0)
+    assert os.path.exists(marker)
+    assert [row["method"] for row in result.rows] == ["a"]
+    (failure,) = result.failures
+    assert failure.attempts == 2
+    assert failure.error["type"] == "RuntimeError"
 
 
 def test_worker_crash_never_charges_innocent_siblings():

@@ -7,6 +7,9 @@ the same simulated hammer time, and the same per-attempt counters,
 histogram and flight-record events.
 """
 
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -70,6 +73,13 @@ def _check_parity(dram, os_model, engine, frames, n_sides):
     assert dram._rows.keys() == rows_before.keys()
     assert all(np.array_equal(dram._rows[key], data) for key, data in rows_before.items())
     return profile
+
+
+def _flips(hit):
+    """Each attempt's flips of a ``HammerResult``, as (column, bit, direction) lists."""
+    flips = list(zip(hit.column.tolist(), hit.bit.tolist(), hit.direction.tolist()))
+    bounds = np.cumsum(hit.counts).tolist()
+    return [flips[lo:hi] for lo, hi in zip([0] + bounds[:-1], bounds)]
 
 
 class TestProfilerParity:
@@ -150,9 +160,11 @@ class TestProfilerInputs:
 
     def test_fill_must_be_uniform(self, device):
         dram, _, engine, _ = device
-        with pytest.raises(MemoryModelError, match="fill"):
-            engine.hammer_victim(0, 1, 15, fill=0x0F)
+        for fills in [(0x0F,), (0x00, 0x0F), (0x00, 0x00)]:
+            with pytest.raises(MemoryModelError, match="fill"):
+                engine.hammer_victim([(0, 1), (1, 2)], 15, fills=fills)
         assert engine.total_seconds == 0.0
+        assert dram._cells == {}
 
     def test_zero_intensity_reaches_no_cell_of_strength_zero(self, device):
         dram, _, engine, _ = device
@@ -163,11 +175,15 @@ class TestProfilerInputs:
         )
         assert engine.intensity(2) == 0.0  # K1 is TRR-protected
         rows = set(dram._rows)
-        assert engine.hammer_victim(0, 1, 2, fill=0x00).flips == []
-        assert engine.hammer_victim(0, 1, 2, fill=0xFF).flips == []
-        assert engine.hammer_victim(0, 1, 2).flips == []
-        assert engine.hammer_victim(0, 1, 15, fill=0x00).flips == [(5, 1, 1)]
-        assert engine.hammer_victim(0, 1, 15, fill=0xFF).flips == [(9, 2, -1)]
+        assert _flips(engine.hammer_victim([(0, 1)], 2, fills=(0x00,))) == [[]]
+        assert _flips(engine.hammer_victim([(0, 1)], 2, fills=(0xFF,))) == [[]]
+        assert _flips(engine.hammer_victim([(0, 1)], 2, fills=(0x00, 0xFF))) == [[], []]
+        assert _flips(engine.hammer_victim([(0, 1)], 2)) == [[]]
+        assert _flips(engine.hammer_victim([(0, 1)], 15, fills=(0x00,))) == [[(5, 1, 1)]]
+        assert _flips(engine.hammer_victim([(0, 1)], 15, fills=(0xFF,))) == [[(9, 2, -1)]]
+        assert _flips(engine.hammer_victim([(0, 1)], 15, fills=(0xFF, 0x00))) == [
+            [(9, 2, -1)], [(5, 1, 1)]
+        ]
         assert set(dram._rows) == rows  # no row is materialized
 
     def test_zero_intensity_draws_no_fault_map(self, device):
@@ -177,3 +193,28 @@ class TestProfilerInputs:
         assert profile.num_flips == 0
         assert engine.total_seconds > 0  # the attempts still take their time
         assert dram._cells == {} and set(dram._rows) == rows
+
+
+def test_profiling_keeps_its_arrays_at_batch_size():
+    # Table I's buffer on K1: 1,024 pages in 512 rows of 8 KB, about 200
+    # cells per row.  ``tracemalloc`` counts NumPy's allocations, so the
+    # bound does not depend on the heap's layout.  The transient peak (peak
+    # minus what the call leaves held: the profile and the cached cell maps)
+    # is 3.5 MB, mostly the final join of the profile's columns; hammering
+    # the whole buffer in one pass raised it to 12.6 MB.
+    geometry = DRAMGeometry(num_banks=8, rows_per_bank=1024, row_size_bytes=8192)
+    device = get_profile("K1")
+    dram = DRAMArray(geometry, flips_per_page_mean=device.flips_per_page, seed=0)
+    os_model = OSMemoryModel(dram, rng=1)
+    mapping = os_model.mmap_anonymous(1024)
+    profiler = MemoryProfiler(os_model, HammerEngine(dram, device))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        profile = profiler.profile_mapping(mapping, 15)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert profile.num_flips > 0
+    transient = (peak - held) / 2**20
+    assert transient < 5.0, f"profiling transient peak {transient:.1f} MB over 5 MB"

@@ -235,6 +235,13 @@ def test_property_templating_assignments_always_cover_requirements(requirements)
     match = templater.match(targets)
     assert match.matched_pages == [0]
     frame = match.assignments[0]
-    covered = templater._frame_flips[frame]
+    mine = profile.frame == frame
+    covered = set(
+        zip(
+            profile.byte_offset[mine].tolist(),
+            profile.bit[mine].tolist(),
+            profile.direction[mine].tolist(),
+        )
+    )
     for o, b, d in requirements:
         assert (o, b, d) in covered

@@ -79,20 +79,45 @@ class TestHammerEngine:
     def test_hammer_accumulates_time(self, engines):
         ddr4, _ = engines
         before = ddr4.total_seconds
-        ddr4.hammer_victim(0, 1, 7)
+        ddr4.hammer_victim([(0, 1)], 7)
         assert ddr4.total_seconds == pytest.approx(before + 0.4)
 
-    def test_out_of_range_row_raises(self, engines):
+    @pytest.mark.parametrize("fills", [None, (0x00, 0xFF)])
+    def test_out_of_range_row_raises(self, engines, fills):
         ddr4, _ = engines
-        with pytest.raises(RowhammerError):
-            ddr4.hammer_victim(0, 10_000, 7)
+        with pytest.raises(RowhammerError, match="row"):
+            ddr4.hammer_victim([(0, 1), (0, 10_000)], 7, fills)
+        assert ddr4.total_seconds == 0.0  # no attempt of the batch is charged
+        assert (0, 1) not in ddr4.dram._rows and not ddr4.dram._cells
 
+    @pytest.mark.parametrize("fills", [None, (0x00, 0xFF)])
     @pytest.mark.parametrize("bank", [-1, 10_000])
-    def test_out_of_range_bank_raises(self, engines, bank):
+    def test_out_of_range_bank_raises(self, engines, bank, fills):
         ddr4, _ = engines
         with pytest.raises(RowhammerError, match="bank"):
-            ddr4.hammer_victim(bank, 1, 7)
+            ddr4.hammer_victim([(0, 1), (bank, 1)], 7, fills)
+        assert ddr4.total_seconds == 0.0
         assert (bank, 1) not in ddr4.dram._rows  # no phantom row materialized
+        assert (0, 1) not in ddr4.dram._rows and not ddr4.dram._cells
+
+    def test_one_call_hammers_each_row_once_on_its_bytes(self, engines):
+        ddr4, _ = engines
+        dram = ddr4.dram
+        for key in [(0, 1), (2, 5)]:
+            dram.row_buffer(*key)[::2] = 0xFF  # both flip directions can fire
+        expected = DRAMArray(dram.geometry, dram.flips_per_page_mean, seed=7)  # small_dram's
+        for key in [(0, 1), (2, 5)]:
+            expected.row_buffer(*key)[:] = dram.row_buffer(*key)
+        hit = ddr4.hammer_victim([(0, 1), (2, 5)], 15)
+        flips = [expected.hammer_row(*key, ddr4.intensity(15)) for key in [(0, 1), (2, 5)]]
+        assert hit.bank.tolist() == [0, 2] and hit.row.tolist() == [1, 5]
+        assert hit.counts.tolist() == [len(f) for f in flips] and min(hit.counts) > 0
+        assert list(zip(hit.column.tolist(), hit.bit.tolist(), hit.direction.tolist())) == (
+            flips[0] + flips[1]
+        )
+        assert all(np.array_equal(dram.row_buffer(*key), expected.row_buffer(*key))
+                   for key in [(0, 1), (2, 5)])
+        assert ddr4.total_seconds == pytest.approx(2 * 0.8, rel=0.1)
 
 
 class TestProfiler:

@@ -382,7 +382,7 @@ class TestPipelineIntegration:
 
         telemetry.enable()
         engine = HammerEngine(small_dram, get_profile("K1"))
-        engine.hammer_victim(0, 1, n_sides=7)
+        engine.hammer_victim([(0, 1)], n_sides=7)
         counters = telemetry.dump()["counters"]
         assert counters["hammer.attempts"] == 1
         assert counters["hammer.simulated_seconds"] == pytest.approx(0.4)
