@@ -19,21 +19,19 @@ Each iteration:
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro import telemetry
 from repro.attacks.base import AttackConfig, OfflineAttackResult
 from repro.attacks.objective import attack_loss_and_grads, flatten_grads
-from repro.autodiff import cone, cross_entropy, is_grad_enabled, no_grad
+from repro.autodiff import cone, cross_entropy, no_grad
 from repro.autodiff.tensor import Tensor
 from repro.data.dataset import ArrayDataset
 from repro.data.trigger import TriggerPattern
 from repro.engine import EvalEngine
-from repro.engine.plan import LayerPlan, Stage
 from repro.errors import AttackError
-from repro.nn.layers import Linear
 from repro.quant.bits import (
     bit_reduce,
     bit_reduce_avoiding,
@@ -112,188 +110,126 @@ def group_sort_select(
     return np.asarray(selected, dtype=np.int64)
 
 
-def _reads_linear(stage: Stage) -> bool:
-    return any(isinstance(sub, Linear)
-               for module in stage.modules for _, sub in module.named_modules())
+class _TriggerSteps:
+    """The clean term and the cone forward of CFT's trigger steps (Eq. 4).
 
+    A trigger step reads the clean term's loss value only, and the
+    weights do not change between steps, so its clean activations are
+    the engine's: ``batches`` are the attacker set's consecutive row
+    ranges, each one array the engine forwards at the current weights
+    (:meth:`forward`), and a step for rows ``idx`` gathers their stage
+    outputs from those arrays.  :meth:`forward` holds the arrays the
+    steps read, so the engine's LRU may evict them while the steps run
+    (the two batches and the stamped subset can outgrow its byte budget)
+    without a step forwarding them again.  A held array is dropped when
+    its stage's signature prefix changes; one missing is read from the
+    engine, forwarded again if evicted (:meth:`EvalEngine.output`).
 
-def _training(module) -> bool:
-    return any(sub.training for _, sub in module.named_modules())
+    - Clean logits: the head (from :attr:`LayerPlan.head_start`) runs on
+      the gathered rows, in ``idx`` order, exactly as the clean forward
+      would: a dense GEMM may round by row count, the stages before it
+      treat each row on its own.
+    - The stamped pass runs on the trigger's cone
+      (:mod:`repro.autodiff.cone`), its windows planned once per engine
+      (:meth:`EvalEngine.windows`), each over its stage's gathered clean
+      outputs in the cached arrays' memory order.
 
-
-class _CleanLogits:
-    """Clean-term logits of attacker batches, reusing each image's features.
-
-    CFT's trigger steps (Eq. 4) read only the clean term's loss value, and
-    the weights do not change between them.  In eval mode the model's
-    trunk -- every stage before the first ``Linear`` -- treats each row on
-    its own, so an image's trunk features depend only on the image and the
-    trunk's weights: they are kept per image and forwarded only for the
-    rows a batch is missing at the trunk's current version signature (any
-    change to a weight's bytes or a buffer starts a new version).  A GEMM
-    over a different row count may pick a different BLAS kernel, so the
-    ``Linear`` head runs on the gathered batch, in batch order, exactly as
-    the clean forward would: the logits are byte-identical to
-    ``model(images[idx])``.
-
-    Given an ``engine`` over the same plan and ``shared``, a leading slice
-    ``images[:k]`` that the engine forwards (CFT's evaluation subset), rows
-    ``[0, k)`` are taken from the engine's cached stage outputs at the
-    trunk's current signatures when it holds them all, instead of
-    forwarded again: the trunk treats each row on its own, so they are the
-    same bytes.
-
-    Given the ``trigger``, it also serves the stamped pass
-    (:meth:`stamped_forward`) on the trigger's cone
-    (:mod:`repro.autodiff.cone`).  The first stamped pass runs in full,
-    and each leading stage's window is read off the ops it ran; from then
-    on the clean outputs of the windowed stages are kept per image
-    alongside the features, in the full pass's memory order, and only the
-    part the next crop reads.
+    Both are byte-identical to the full passes.  In train mode, with no
+    window that passes the byte check, or when a stamped image differs
+    from its clean one outside the trigger's box (the stamp clips every
+    pixel), the full passes run instead.  The trigger's mask and clip
+    range must not change; its pattern may.
     """
 
-    def __init__(self, plan: LayerPlan, images: np.ndarray,
-                 trigger: Optional[TriggerPattern] = None,
-                 engine: Optional[EvalEngine] = None,
-                 shared: Optional[np.ndarray] = None) -> None:
-        stages = plan.stages
-        cut = next((i for i, stage in enumerate(stages) if _reads_linear(stage)), len(stages))
-        self.plan = plan
-        self.trunk, self.head = stages[:cut], stages[cut:]
-        self.images = images
-        self._box = None if trigger is None else cone.bounding_box(trigger.mask)
+    def __init__(self, engine: EvalEngine, batches: Sequence[np.ndarray],
+                 trigger: TriggerPattern) -> None:
+        self.engine, self.batches = engine, list(batches)
+        self._starts = np.cumsum([0] + [len(batch) for batch in self.batches])
+        self._box = cone.bounding_box(trigger.mask)
         if self._box is not None:
-            self._unclipped = cone.unclipped(images, self._box, trigger.clip_range)
-        # Planned by the first stamped pass; until then every trunk output
-        # of the forwarded rows waits in ``_pending``.
-        self._windows: Optional[List[Optional[cone.StageWindow]]] = (
-            None if self._box is not None else []
-        )
-        self._pending: List[tuple] = []  # (rows, trunk stage outputs)
-        self._engine, self._shared = engine, shared
-        self._outputs: Dict[int, tuple] = {}  # windowed stage -> (axis order, per-image rows)
-        self._version: Optional[tuple] = None
-        self._features: Optional[np.ndarray] = None
-        self._have = np.zeros(len(images), dtype=bool)
+            self._unclipped = np.concatenate([
+                cone.unclipped(batch, self._box, trigger.clip_range) for batch in self.batches
+            ])
+        # (batch, stage) -> (signature prefix, the engine's output array).
+        self._held: Dict[Tuple[int, int], tuple] = {}
+        # One gather buffer per (stage, gathered shape, dtype) that every step
+        # overwrites: a fresh array per step left the heap top to be
+        # trimmed and faulted in again (DESIGN.md, "Gather buffers and
+        # page faults").
+        self._buffers: Dict[tuple, np.ndarray] = {}
 
-    def __call__(self, idx: np.ndarray) -> np.ndarray:
-        """Clean logits of ``images[idx]``, in ``idx`` order."""
-        self._ensure(idx)
-        with no_grad():
-            x = Tensor(self._features[idx])
-            for stage in self.head:
-                x = stage.fn(x)
-        return x.data
+    def _windows(self) -> List[Optional[cone.StageWindow]]:
+        if self._box is None:
+            return []
+        return self.engine.windows(self._box, self.batches[0].shape[1:])
 
-    def _ensure(self, idx: np.ndarray) -> None:
-        """Forward the rows of ``idx`` missing at the trunk's current version."""
-        version = tuple(stage.version_signature() for stage in self.trunk)
-        if version != self._version:
-            self._version = version
-            self._have[:] = False
-            self._pending.clear()
-        missing = np.unique(idx[~self._have[idx]])
-        if missing.size and self._shared is not None and missing[0] < len(self._shared):
-            self._adopt()
-            missing = missing[~self._have[missing]]
-        if not missing.size:
-            return
-        x = Tensor(self.images[missing])
-        outputs = []
-        with no_grad():
-            for index, stage in enumerate(self.trunk):
-                x = stage.fn(x)
-                if self._windows is None:
-                    outputs.append(x.data)
-                elif index < len(self._windows) and self._windows[index] is not None:
-                    self._store(index, missing, x.data)
-        if self._windows is None:
-            self._pending.append((missing, outputs))
-        self._keep_features(missing, x.data)
+    def forward(self) -> None:
+        """Forward every batch at the current weights and hold what the steps read."""
+        plan = self.engine.plan
+        training = any(sub.training for _, sub in plan.module.named_modules())
+        reads = [] if training else [plan.head_start - 1] + [
+            index for index, window in enumerate(self._windows()) if window is not None]
+        sigs = plan.signatures()
+        # The first batch last: it is the evaluation subset, whose entries
+        # the engine's other callers read, so the LRU evicts the rest first.
+        for b in reversed(range(len(self.batches))):
+            self.engine.forward(self.batches[b])
+            for index in reads:
+                self._source(b, index, sigs)
 
-    def _adopt(self) -> None:
-        """Take the shared rows from the engine's cache, if it holds them all."""
-        if _training(self.plan.module):
-            return
-        outputs = [self._engine.cached(self._shared, index) for index in range(len(self.trunk))]
-        if any(out is None for out in outputs):
-            return
-        rows = np.arange(len(self._shared))
-        if self._windows is None:
-            self._pending.append((rows, outputs))
-        else:
-            for index, window in enumerate(self._windows):
-                if window is not None:
-                    self._store(index, rows, outputs[index])
-        self._keep_features(rows, outputs[-1])
+    def _source(self, b: int, index: int, sigs: tuple) -> np.ndarray:
+        """Batch ``b``'s stage ``index`` output at signatures ``sigs``, held."""
+        held = self._held.get((b, index))
+        if held is None or held[0] != sigs[: index + 1]:
+            held = (sigs[: index + 1], self.engine.output(self.batches[b], index))
+            self._held[b, index] = held
+        return held[1]
 
-    def _keep_features(self, rows: np.ndarray, features: np.ndarray) -> None:
-        if self._features is None:
-            self._features = np.empty((len(self.images),) + features.shape[1:], features.dtype)
-        self._features[rows] = features
-        self._have[rows] = True
+    def _gather(self, index: int, idx: np.ndarray, sigs: tuple) -> np.ndarray:
+        """Stage ``index``'s clean output of rows ``idx``, in the cached arrays' memory order.
 
-    def _store(self, index: int, rows: np.ndarray, out: np.ndarray) -> None:
-        """Keep windowed stage ``index``'s output of ``rows`` on its kept box."""
-        out = out[cone.region(self._windows[index].kept)]
-        if index not in self._outputs:
-            # Rows are kept in ``out``'s memory order (batch axis first), so
-            # a gathered batch has the full pass's strides.
-            order = [0] + [axis for axis in np.argsort([-s for s in out.strides], kind="stable")
-                           if axis != 0]
-            shape = (len(self.images),) + tuple(out.shape[axis] for axis in order[1:])
-            self._outputs[index] = (order, np.empty(shape, out.dtype))
-        order, store = self._outputs[index]
-        store[rows] = out.transpose(order)
-
-    def _clean_output(self, index: int, idx: np.ndarray) -> np.ndarray:
-        order, store = self._outputs[index]
-        return store[idx].transpose(np.argsort(order))
-
-    def _plan(self, stamped: Tensor) -> Tensor:
-        """The full stamped pass, reading each leading stage's window off its ops."""
-        x, box, windows = stamped, self._box, []
-        for index, stage in enumerate(self.plan.stages):
-            out = stage.fn(x)
-            if box is not None and index < len(self.trunk):
-                window, box = cone.plan_stage(x, out, box)
-                windows.append(window)
-            x = out
-        self._windows = cone.link(windows)
-        for rows, outputs in self._pending:
-            for index, window in enumerate(self._windows):
-                if window is not None:
-                    self._store(index, rows, outputs[index])
-        self._pending.clear()
-        return x
-
-    def stamped_forward(self, idx: np.ndarray) -> Callable[[Tensor], Tensor]:
-        """The model's forward for stamped ``images[idx]``, on the trigger's cone.
-
-        Runs each windowed stage on a crop over the cached clean outputs
-        when every cropped conv passes the byte check at this batch size.
-        Falls back to ``model(x)`` when nothing is windowed (the trigger
-        covers the map, or no check passes), the model is in train mode,
-        or a stamped image differs from its clean one outside the
-        trigger's box (the stamp clips every pixel).  The trigger's mask
-        and clip range must not change; its pattern may.
+        It is written into this stage's buffer for the shape, which the
+        next gather of the same stage and shape overwrites.
         """
-        def forward(stamped: Tensor) -> Tensor:
-            self._ensure(idx)
-            module = self.plan.module
-            if _training(module):
-                return module(stamped)
-            if self._windows is None:
-                if stamped.requires_grad and is_grad_enabled():
-                    return self._plan(stamped)
-                return module(stamped)
-            windows = cone.usable(self._windows, len(idx))
-            if not any(windows) or not self._unclipped[idx].all():
-                return module(stamped)
-            return cone.forward(self.plan.stages, windows, stamped,
-                                lambda index: self._clean_output(index, idx))
+        owner = np.searchsorted(self._starts, idx, side="right") - 1
+        rows = idx - self._starts[owner]
+        sources = {int(b): self._source(int(b), index, sigs) for b in np.unique(owner)}
+        first = sources[int(owner[0])]
+        order = [0] + [axis for axis in np.argsort([-s for s in first.strides], kind="stable")
+                       if axis != 0]
+        shape = (len(idx),) + tuple(first.shape[axis] for axis in order[1:])
+        key = (index, shape, first.dtype.str)
+        out = self._buffers.get(key)
+        if out is None:
+            out = self._buffers[key] = np.empty(shape, first.dtype)
+        for b, source in sources.items():
+            mine = owner == b
+            out[mine] = source.transpose(order)[rows[mine]]
+        return out.transpose(np.argsort(order))
 
-        return forward
+    def inputs(self, idx: np.ndarray) -> Tuple[Optional[np.ndarray], Optional[Callable]]:
+        """``(clean logits, stamped forward)`` of a trigger step on rows ``idx``.
+
+        Either is None where the full pass runs instead.  The stamped
+        forward's clean outputs live in buffers the next step overwrites.
+        """
+        plan = self.engine.plan
+        if any(sub.training for _, sub in plan.module.named_modules()):
+            return None, None
+        cut, sigs = plan.head_start, plan.signatures()
+        with no_grad():
+            x = Tensor(self._gather(cut - 1, idx, sigs))
+            for stage in plan.stages[cut:]:
+                x = stage.fn(x)
+        # The head writes fresh logits; with no head they are the buffer.
+        logits = x.data if cut < len(plan.stages) else x.data.copy()
+        if self._box is None or not self._unclipped[idx].all():
+            return logits, None
+        windows = cone.usable(self._windows(), len(idx))
+        if not any(windows):
+            return logits, None
+        return logits, lambda stamped: cone.forward(
+            plan.stages, windows, stamped, lambda index: self._gather(index, idx, sigs))
 
 
 class CFTAttack:
@@ -467,20 +403,21 @@ class CFTAttack:
 
         def refine_trigger(steps: int) -> None:
             nonlocal stamped_eval
-            # The clean subset at the current weights: the next objective()
-            # reads it, and the trigger steps take its rows' trunk outputs.
-            engine.forward(eval_images)
+            # The attacker set at the current weights: the next objective()
+            # reads its evaluation subset, and the trigger steps gather
+            # their rows' clean stage outputs from both batches.
+            step_inputs.forward()
             for _ in range(steps):
                 idx = batch()
                 # A trigger step reads only the loss and dF/dx: no weight
                 # gradient is computed, the clean term reuses the rows
                 # already forwarded at the current weights, and the stamped
                 # pass recomputes only the trigger's cone.
+                clean_logits, stamped_forward = step_inputs.inputs(idx)
                 grads = attack_loss_and_grads(
                     model, attacker_data.images[idx], attacker_data.labels[idx], trigger,
                     config.target_class, config.alpha, param_names=(),
-                    _clean_logits=clean_logits(idx),
-                    _stamped_forward=clean_logits.stamped_forward(idx),
+                    _clean_logits=clean_logits, _stamped_forward=stamped_forward,
                 )
                 loss_history.append(grads.loss)
                 if config.trigger_update and grads.trigger_grad is not None:
@@ -503,8 +440,10 @@ class CFTAttack:
         # scores each round's proposals with one batched suffix forward per
         # touched layer.  Logits are byte-identical to the plain forward.
         engine = EvalEngine(model)
-        clean_logits = _CleanLogits(engine.plan, attacker_data.images, trigger,
-                                    engine=engine, shared=eval_images)
+        # The attacker set as the engine's two batches, each made once: the
+        # evaluation subset and the rest (when there is one).
+        rest = attacker_data.images[eval_count:]
+        step_inputs = _TriggerSteps(engine, [eval_images] + ([rest] if len(rest) else []), trigger)
 
         # The trigger only moves between rounds (refine_trigger), while
         # objective() and the candidate scorer read the stamped subset
@@ -544,16 +483,6 @@ class CFTAttack:
             return objective_from_logits(
                 engine.forward(eval_images), engine.forward(stamped_eval_images())
             )
-
-        def apply_value(index: int, new_value: np.int8) -> np.int8:
-            """Set one flat weight; returns the previous value."""
-            name, local = qmodel.locate(int(index))
-            tensor = qmodel.quantized(name)
-            flat = tensor.reshape(-1)
-            previous = flat[local]
-            flat[local] = new_value
-            qmodel.set_quantized(name, flat.reshape(tensor.shape))
-            return previous
 
         refine_trigger(trigger_steps * 2)
 
@@ -625,7 +554,7 @@ class CFTAttack:
                 refine_trigger(trigger_steps)
                 continue
             _, index, new_value = best
-            old_value = apply_value(index, np.int8(new_value))
+            old_value = qmodel.write_byte(index, np.int8(new_value))
             # The scoring round buffered each candidate's perturbed-layer
             # output; promote the winner's into the activation cache so the
             # next round's prefix restore starts past this layer.
@@ -650,7 +579,7 @@ class CFTAttack:
         # final objective (keeps N_flip minimal, mirroring the paper's goal).
         for index, old_value, new_value in list(committed_flips):
             with_flip, _, _ = objective()
-            apply_value(index, old_value)
+            qmodel.write_byte(index, old_value)
             without_flip, _, _ = objective()
             if without_flip <= with_flip:
                 committed_flips.remove((index, old_value, new_value))
@@ -661,7 +590,7 @@ class CFTAttack:
                         **_flip_event_data(qmodel, index, int(old_value), int(new_value)),
                     )
             else:
-                apply_value(index, new_value)
+                qmodel.write_byte(index, new_value)
 
         backdoored_q = qmodel.flat_int8()
         n_flip = hamming_distance(original_q, backdoored_q)

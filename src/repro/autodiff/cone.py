@@ -7,18 +7,20 @@ output that follows from its kernel, stride and padding.  So each leading
 stage of a model whose output differs from the clean output only on a
 sub-box can run on a crop of its input (:class:`Crop`), and its window can
 be pasted into a copy of the clean output (:class:`Paste`).  The gradient
-flows back only through the crops.  CFT's trigger steps
-(:mod:`repro.attacks.cft`) differentiate through the crops; the
-evaluation engine's stamped twins (:meth:`repro.engine.EvalEngine.stamp`)
-run them under ``no_grad`` over cached clean stage outputs.
+flows back only through the crops.  Both users read the evaluation
+engine's cached clean stage outputs and its one planner
+(:meth:`repro.engine.EvalEngine.windows`): CFT's trigger steps
+(:mod:`repro.attacks.cft`) differentiate through the crops, and the
+engine's stamped twins (:meth:`repro.engine.EvalEngine.stamp`) run them
+under ``no_grad``.
 
 Byte identity with the full pass rests on three rules (DESIGN.md, "The
 trigger's cone"):
 
 - *Geometry* (:func:`plan_stage`): each stage's window is derived from the
-  ops it ran in a taped pass: CFT's first stamped pass of an attack, which
-  runs in full, or, for the engine, one zero image (:func:`plan`).  The
-  crop covers every input its window
+  ops it ran in a taped pass of one zero image (:func:`plan`).  Every
+  window keeps its stage's whole output map.  The crop covers every input
+  its window
   reads, starts at a multiple of the stage's stride and ends on one (or on
   the map's edge), so every conv in the crop sees the same patches on the
   same output grid, and zero padding only where the full map has it.
@@ -89,15 +91,11 @@ def _zeros_laid_out_like(shape: Sequence[int], like: np.ndarray) -> np.ndarray:
     return out.transpose(np.argsort(order))
 
 
-def _shift(box: Box, origin: Box) -> Box:
-    """``box`` in the coordinates of a map whose full-map box is ``origin``."""
-    return box[0] - origin[0], box[1] - origin[0], box[2] - origin[2], box[3] - origin[2]
-
-
 def region(box: Box, origin: Box = (0, 0, 0, 0)) -> Tuple[slice, slice, slice, slice]:
     """NCHW index of ``box`` on a map whose full-map box is ``origin``."""
-    r0, r1, c0, c1 = _shift(box, origin)
-    return slice(None), slice(None), slice(r0, r1), slice(c0, c1)
+    r0, r1, c0, c1 = box
+    return (slice(None), slice(None), slice(r0 - origin[0], r1 - origin[0]),
+            slice(c0 - origin[2], c1 - origin[2]))
 
 
 class Crop(Function):
@@ -156,12 +154,6 @@ class StageWindow:
     dst: Box  # the window on the full output: where it differs from clean
     convs: Tuple[ConvGeometry, ...]
     out_hw: Tuple[int, int]
-    kept: Box  # the output box the pass reads: the next window's crop, or the map
-
-    @property
-    def whole(self) -> bool:
-        """Whether the pass reads this stage's whole output map."""
-        return self.kept == (0, self.out_hw[0], 0, self.out_hw[1])
 
 
 @dataclasses.dataclass(frozen=True)
@@ -330,9 +322,8 @@ def plan_stage(x: Tensor, y: Tensor, box: Box) -> Tuple[Optional[StageWindow], O
                      (origins_r[i + 1], origins_c[i + 1]), op.k, op.out_c)
         for i, op in enumerate(traced) if op.kind == "conv"
     )
-    out_hw = tuple(y.shape[2:])
     window = StageWindow(crop=crop_r + crop_c, differs=box, src=src_r + src_c, dst=out,
-                         convs=convs, out_hw=out_hw, kept=(0, out_hw[0], 0, out_hw[1]))
+                         convs=convs, out_hw=tuple(y.shape[2:]))
     return window, out
 
 
@@ -345,7 +336,7 @@ def plan(stages: Sequence, shape: Sequence[int], box: Box) -> List[Optional[Stag
     train-mode batch norm is not local, and its pass would move the
     running statistics).  One entry per leading stage up to the first
     whose output differs everywhere or not locally; None runs on the full
-    map.  Each window keeps its whole output map (see :func:`link`).
+    map.
     """
     x = Tensor(np.zeros((1,) + tuple(shape), dtype=np.float32), requires_grad=True)
     windows: List[Optional[StageWindow]] = []
@@ -360,35 +351,12 @@ def plan(stages: Sequence, shape: Sequence[int], box: Box) -> List[Optional[Stag
     return windows
 
 
-def link(windows: Sequence[Optional[StageWindow]]) -> List[Optional[StageWindow]]:
-    """The planned windows, each keeping only what the next window's crop reads.
-
-    Trailing stages without a window are dropped: they run on the full map.
-    """
-    linked = list(windows)
-    while linked and linked[-1] is None:
-        linked.pop()
-    for index, window in enumerate(linked[:-1]):
-        following = linked[index + 1]
-        if window is not None and following is not None:
-            linked[index] = dataclasses.replace(window, kept=following.crop)
-    return linked
-
-
 def usable(windows: Sequence[Optional[StageWindow]], n: int) -> List[Optional[StageWindow]]:
-    """The windows a batch of ``n`` runs on its crops.
-
-    Every cropped conv must pass :func:`stacked_gemm_matches`, and a window
-    that keeps only part of its output must be followed by a usable one.
-    """
-    out: List[Optional[StageWindow]] = [None] * len(windows)
-    following = False
-    for index in range(len(windows) - 1, -1, -1):
-        window = windows[index]
-        following = (window is not None and (window.whole or following)
-                     and all(stacked_gemm_matches(n, conv) for conv in window.convs))
-        out[index] = window if following else None
-    return out
+    """The windows a batch of ``n`` runs on its crops: those whose every
+    cropped conv passes :func:`stacked_gemm_matches`."""
+    return [window if window is not None
+            and all(stacked_gemm_matches(n, conv) for conv in window.convs) else None
+            for window in windows]
 
 
 # ---------------------------------------------------------------------------
@@ -424,35 +392,26 @@ def forward(
 ) -> Tensor:
     """Run ``stages`` on ``x``, each stage ``i`` with a window on its crop.
 
-    ``clean_output(i)`` returns a fresh array of stage ``i``'s clean output
-    for the batch on the window's ``kept`` box, in the full pass's memory
-    order.  Stages without a window (and past ``windows``) run on the full
-    map, so ``windows`` must come from :func:`usable`.
+    ``clean_output(i)`` returns a writable array of stage ``i``'s clean
+    output for the batch, in the full pass's memory order, that nothing
+    reads while the pass's tensors live.  Stages without a
+    window (and past ``windows``) run on the full map, so ``windows`` must
+    come from :func:`usable`.
     """
-    at = (0, x.shape[2], 0, x.shape[3])  # the box of the map ``x`` holds
     for index, stage in enumerate(stages):
         window = windows[index] if index < len(windows) else None
-        if window is None:
-            x = stage.fn(x)
-            continue
-        x = run_window(stage, window, x, clean_output(index), at)
-        at = window.kept
+        x = stage.fn(x) if window is None else run_window(stage, window, x, clean_output(index))
     return x
 
 
-def run_window(
-    stage, window: StageWindow, x: Tensor, base: np.ndarray, at: Optional[Box] = None
-) -> Tensor:
+def run_window(stage, window: StageWindow, x: Tensor, base: np.ndarray) -> Tensor:
     """``stage`` on the crop of ``x``, its window pasted over ``base``.
 
-    ``x`` holds the box ``at`` of the stage input's map (default: the
-    whole map).  ``base`` is a fresh array of the stage's clean output on
-    the window's ``kept`` box, in the full pass's memory order; it is
-    written in place and returned inside the output tensor.
+    ``base`` is a writable array of the stage's clean output, in the full
+    pass's memory order; it is written in place and returned inside the
+    output tensor.
     """
-    if at is None:
-        at = (0, x.shape[2], 0, x.shape[3])
-    crop = Crop.apply(x, box=_shift(window.crop, at), grad_box=_shift(window.differs, at))
+    crop = Crop.apply(x, box=window.crop, grad_box=window.differs)
     with stacked_rows():
         out = stage.fn(crop)
-    return Paste.apply(out, base, src=window.src, dst=_shift(window.dst, window.kept))
+    return Paste.apply(out, base, src=window.src, dst=window.dst)

@@ -20,6 +20,10 @@ production inference stacks:
 - a trigger-stamped batch made by :meth:`EvalEngine.stamp` is its clean
   batch's twin: its leading stages recompute only the trigger's cone
   (:mod:`repro.autodiff.cone`) over the clean batch's cached outputs;
+- the engine is the one store of clean activations: CFT's trigger steps
+  gather their rows' stage outputs from its cached attacker batches
+  (:meth:`EvalEngine.output`) and plan the cone with its one planner
+  (:meth:`EvalEngine.windows`);
 - entries live in an LRU cache under a fixed byte budget
   (:data:`~repro.engine.engine.BYTE_BUDGET`, 64 MiB); cached activations
   are served zero-copy (marked read-only) into the recomputed suffix.

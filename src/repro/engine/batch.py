@@ -65,16 +65,6 @@ from repro.autodiff.tensor import Tensor
 Proposal = Tuple[int, int]  # (flat weight-file index, new int8 byte value)
 
 
-def _apply_byte(qmodel, name: str, local: int, value: np.int8) -> np.int8:
-    """Set one byte of one quantized tensor; returns the previous value."""
-    tensor = qmodel.quantized(name)
-    flat = tensor.reshape(-1)
-    previous = flat[local]
-    flat[local] = value
-    qmodel.set_quantized(name, flat.reshape(tensor.shape))
-    return previous
-
-
 def score_candidates(
     engine,
     qmodel,
@@ -120,13 +110,11 @@ def score_candidates(
     last = len(stages) - 1
     params = dict(module.named_parameters())
 
-    # Locate every proposal: (parameter name, local offset, stage index).
+    # Locate every proposal: (flat index, stage index, new byte).
     located = []
     for index, value in proposals:
-        name, local = qmodel.locate(int(index))
-        located.append(
-            (name, local, engine.plan.stage_index_of(params[name]), np.int8(value))
-        )
+        name, _ = qmodel.locate(int(index))
+        located.append((int(index), engine.plan.stage_index_of(params[name]), np.int8(value)))
 
     if not located:
         empty = [np.empty((0,), dtype=np.float32) for _ in arrays]
@@ -136,7 +124,7 @@ def score_candidates(
     # is applied so cache entries stay keyed on the unperturbed state.
     sigs = engine.plan.signatures()
     fingerprints = [engine._memo.fingerprint(a) for a in arrays]
-    needed = sorted({stage for _, _, stage, _ in located})
+    needed = sorted({stage for _, stage, _ in located})
     prefixes = {
         (bi, stage): engine.prefix_input(array, fp, sigs, stage)
         for bi, (array, fp) in enumerate(zip(arrays, fingerprints))
@@ -144,7 +132,7 @@ def score_candidates(
     }
 
     groups: dict = {}
-    for position, (_, _, stage, _) in enumerate(located):
+    for position, (_, stage, _) in enumerate(located):
         groups.setdefault(stage, []).append(position)
 
     # A stamped twin of an earlier batch (EvalEngine.stamp) runs its
@@ -173,20 +161,19 @@ def score_candidates(
         # apply/revert cycle covers every image batch.
         outputs: List[List[np.ndarray]] = [[] for _ in arrays]
         for position in positions:
-            name, local, _, value = located[position]
-            previous = _apply_byte(qmodel, name, local, value)
+            index, _, value = located[position]
+            previous = qmodel.write_byte(index, value)
             for bi in range(len(arrays)):
                 win = window(bi, stage)
                 base = None if win is None else outputs[twins[bi][0]][-1]
                 outputs[bi].append(
                     engine.run_stage(stage, prefixes[(bi, stage)], base, win)
                 )
-            _apply_byte(qmodel, name, local, previous)
+            qmodel.write_byte(index, previous)
             # Park this candidate's perturbed stage outputs for round-ahead
             # promotion: if the caller commits it, these arrays ARE the
             # post-commit input of stage+1 for each image batch.
-            index, proposed = proposals[position]
-            spec_candidates[(int(index), int(proposed))] = {
+            spec_candidates[(index, int(value))] = {
                 "stage": stage,
                 "outputs": [outputs[bi][-1] for bi in range(len(arrays))],
             }

@@ -131,20 +131,35 @@ class EvalEngine:
         if (box is None or self.plan.module.training or stamped.ndim != 4
                 or stamped.dtype != clean.dtype):
             return stamped
-        key = (box, stamped.shape[1:])
-        if key not in self._windows:
-            self._windows[key] = cone.plan(self.plan.stages, stamped.shape[1:], box)
-        windows = cone.usable(self._windows[key], len(stamped))
+        windows = cone.usable(self.windows(box, stamped.shape[1:]), len(stamped))
         if any(windows) and cone.unclipped(clean, box, trigger.clip_range).all():
             self._twins[id(stamped)] = (stamped, clean, windows)
             while len(self._twins) > self._memo.capacity:
                 self._twins.popitem(last=False)
         return stamped
 
-    def cached(self, x: np.ndarray, index: int) -> Optional[np.ndarray]:
-        """Stage ``index``'s output for batch ``x`` at the current signatures, if cached."""
-        sigs = self.plan.signatures()
-        return self.cache.get((self._memo.fingerprint(x), index, sigs[: index + 1]))
+    def windows(self, box: cone.Box, shape: Tuple[int, ...]) -> List[Optional[cone.StageWindow]]:
+        """The cone's windows for images of ``shape`` stamped on ``box``.
+
+        Planned once per (box, shape) by :func:`repro.autodiff.cone.plan`;
+        call it in eval mode.
+        """
+        key = (box, tuple(shape))
+        if key not in self._windows:
+            self._windows[key] = cone.plan(self.plan.stages, shape, box)
+        return self._windows[key]
+
+    def output(self, x: np.ndarray, index: int) -> np.ndarray:
+        """Stage ``index``'s output for batch ``x`` at the current signatures.
+
+        Read from the cache when it holds it (not counted as a hit);
+        otherwise (an evicted entry, new weights) the stages up to
+        ``index`` are forwarded again as :meth:`forward` would, so call it
+        in eval mode.  ``index == -1`` is ``x`` itself.
+        """
+        fp, sigs = self._memo.fingerprint(x), self.plan.signatures()
+        out = self.cache.get((fp, index, sigs[: index + 1]))
+        return out if out is not None else self.prefix_input(x, fp, sigs, index + 1)
 
     def twin_of(self, x: np.ndarray) -> Optional[Twin]:
         """The stamped twin ``x`` is (see :meth:`stamp`), or None."""

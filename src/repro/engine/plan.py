@@ -13,13 +13,14 @@ split per child, and any other module degrades to a single whole-model stage
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from repro import telemetry
 from repro.autodiff.tensor import Tensor
 from repro.log import get_logger
-from repro.nn.layers import Sequential
+from repro.nn.layers import Linear, Sequential
 from repro.nn.module import Module, Parameter
 
 log = get_logger(__name__)
@@ -67,6 +68,19 @@ class LayerPlan:
 
     def __len__(self) -> int:
         return len(self.stages)
+
+    @functools.cached_property
+    def head_start(self) -> int:
+        """Index of the first stage that reads a ``Linear`` (``len(self)`` if none).
+
+        In eval mode the stages before it treat each row on its own, so
+        their output for a subset of a batch's rows is those rows of the
+        batch's output.  A dense GEMM may round by row count, so the head
+        from here on runs on the batch it is given.
+        """
+        return next((index for index, stage in enumerate(self.stages)
+                     if any(isinstance(sub, Linear) for module in stage.modules
+                            for _, sub in module.named_modules())), len(self.stages))
 
     def signatures(self) -> Tuple[Tuple[Union[bytes, int], ...], ...]:
         """Current per-stage version signatures, in stage order."""

@@ -148,6 +148,20 @@ class QuantizedModel:
             self._dirty.add(name)
         self.sync_to_module()
 
+    def write_byte(self, flat_index: int, value) -> np.int8:
+        """Set one weight byte in place; returns the byte it held before.
+
+        Like :meth:`set_quantized`, an unchanged byte marks nothing dirty.
+        """
+        name, local = self.locate(flat_index)
+        flat = self._qweights[name].reshape(-1)
+        previous = flat[local]
+        if previous != np.int8(value):
+            flat[local] = value
+            self._dirty.add(name)
+        self.sync_to_module()
+        return previous
+
     def apply_bit_flip(self, flat_index: int, bit_index: int) -> None:
         """Flip one bit of one weight byte, as Rowhammer would in DRAM."""
         name, local = self.locate(flat_index)

@@ -1,8 +1,9 @@
 """Oracles for reusing clean-term work across CFT trigger steps.
 
-CFT's trigger steps keep each attacker image's trunk features (every stage
-before the first ``Linear``) for one weight version, and run only the
-``Linear`` head on each batch.  Two byte-identity contracts gate that:
+CFT's trigger steps gather each attacker image's trunk features (every
+stage before the first ``Linear``) from the evaluation engine's cached
+attacker batches, and run only the ``Linear`` head on each batch.  Two
+byte-identity contracts gate that:
 
 - an eval-mode trunk forward of any row subset, in any order, equals the
   matching rows of the full forward, for every zoo architecture;
@@ -27,6 +28,7 @@ from repro.autodiff.conv import Conv2dFunction
 from repro.autodiff.tensor import Tensor
 from repro.core.training import _evaluation_splits
 from repro.data.trigger import TriggerPattern
+from repro.engine import EvalEngine
 from repro.engine.plan import compile_plan
 from repro.errors import AttackError
 from repro.models import build_model
@@ -47,11 +49,21 @@ def _model(name, num_classes=10):
 
 
 def _trunk(model, images):
+    plan = compile_plan(model)
     with no_grad():
         x = Tensor(images)
-        for stage in cft_module._CleanLogits(compile_plan(model), images).trunk:
+        for stage in plan.stages[:plan.head_start]:
             x = stage.fn(x)
     return x.data
+
+
+def _steps(model, images, trigger=None):
+    """Trigger-step inputs over ``images`` as CFT batches them, forwarded."""
+    trigger = TriggerPattern.square(images.shape[1:], 10) if trigger is None else trigger
+    batches = [images[:64]] + ([images[64:]] if len(images) > 64 else [])
+    steps = cft_module._TriggerSteps(EvalEngine(model), batches, trigger)
+    steps.forward()
+    return steps
 
 
 @pytest.mark.parametrize("name", ["tinycnn", "resnet20", "vgg11"])
@@ -68,19 +80,19 @@ def test_trunk_rows_are_independent(name, attacker_images):
 
 @pytest.mark.parametrize("name", ["tinycnn", "resnet20", "vgg11"])
 def test_trunk_ends_at_first_linear(name, attacker_images):
-    clean = cft_module._CleanLogits(compile_plan(_model(name)), attacker_images.images)
+    plan = compile_plan(_model(name))
     linear_stages = [
-        stage for stage in clean.trunk + clean.head
+        index for index, stage in enumerate(plan.stages)
         if any(isinstance(sub, Linear)
                for module in stage.modules for _, sub in module.named_modules())
     ]
-    assert clean.trunk and linear_stages and linear_stages[0] is clean.head[0]
+    assert plan.head_start > 0 and linear_stages and linear_stages[0] == plan.head_start
 
 
 def test_logits_match_fresh_forward_across_weight_versions(attacker_images):
     model = _model("tinycnn")
     images = attacker_images.images
-    clean = cft_module._CleanLogits(compile_plan(model), images)
+    steps = _steps(model, images)
     rng = np.random.default_rng(1)
 
     def check():
@@ -88,10 +100,11 @@ def test_logits_match_fresh_forward_across_weight_versions(attacker_images):
             idx = rng.choice(len(images), size=size, replace=False)
             with no_grad():
                 expected = model(Tensor(images[idx])).data
-            assert clean(idx).tobytes() == expected.tobytes()
+            assert steps.inputs(idx)[0].tobytes() == expected.tobytes()
 
     check()
-    # A trunk weight rebind starts a new version: stale rows are never served.
+    # A trunk weight rebind starts a new version: stale rows are never
+    # served, the stale batches are forwarded again.
     model.conv1.weight.data = model.conv1.weight.data * np.float32(0.5)
     check()
 
@@ -100,7 +113,7 @@ def test_precomputed_logits_refused_when_weight_gradients_are_wanted(attacker_im
     model = _model("tinycnn")
     images, labels = attacker_images.images[:4], attacker_images.labels[:4]
     trigger = TriggerPattern.square(images.shape[1:], 4)
-    logits = cft_module._CleanLogits(compile_plan(model), images)(np.arange(4))
+    logits, _ = _steps(model, images, trigger).inputs(np.arange(4))
     with pytest.raises(AttackError):
         attack_loss_and_grads(model, images, labels, trigger, 1, 0.5, _clean_logits=logits)
 
@@ -153,42 +166,30 @@ def test_attack_result_byte_equal_to_clean_forward(
 
 
 @pytest.mark.parametrize("name", ["tinycnn", "resnet20"])
-def test_shared_rows_come_from_the_engine_cache(name, attacker_images, monkeypatch):
-    from repro.autodiff import cone
-    from repro.engine import EvalEngine
-
+def test_rows_come_from_the_engine_cache(name, attacker_images, monkeypatch):
     model = _model(name)
     images = attacker_images.images
-    shared = images[:64]
-    trigger = TriggerPattern.square(images.shape[1:], 10)
-    engine = EvalEngine(model)
-    clean = cft_module._CleanLogits(engine.plan, images, trigger, engine=engine, shared=shared)
-    engine.forward(shared)
-    forwarded = []
-    original = clean._keep_features
+    steps = _steps(model, images)
+    ran = []
+    original = EvalEngine.run_stage
 
-    def recording(rows, features):
-        forwarded.append(rows)
-        return original(rows, features)
+    def recording(engine, index, *args, **kwargs):
+        ran.append(index)
+        return original(engine, index, *args, **kwargs)
 
-    monkeypatch.setattr(clean, "_keep_features", recording)
+    monkeypatch.setattr(EvalEngine, "run_stage", recording)
     idx = np.array([3, 70, 5, 100, 63])
     with no_grad():
         expected = model(Tensor(images[idx])).data
-    assert clean(idx).tobytes() == expected.tobytes()
-    # One adoption of rows [0, 64), then a forward of only the other rows.
-    assert [rows.tolist() for rows in forwarded] == [list(range(64)), [70, 100]]
-    # The first stamped pass plans the windows and stores the adopted rows'
-    # windowed outputs, which are exact too.
-    clean._plan(Tensor(trigger.apply(images[idx]), requires_grad=True))
-    for index, window in enumerate(clean._windows):
-        if window is not None:
-            assert clean._clean_output(index, idx[[0, 2, 4]]).tobytes() == (
-                engine.cached(shared, index)[[3, 5, 63]][cone.region(window.kept)].tobytes()
-            )
-    # A new trunk version adopts nothing until the engine has the subset there.
-    first = next(p for n, p in model.named_parameters() if n.endswith("weight"))
-    first.data = first.data * np.float32(0.5)
-    forwarded.clear()
-    clean(np.array([1, 2]))
-    assert [rows.tolist() for rows in forwarded] == [[1, 2]]
+    assert steps.inputs(idx)[0].tobytes() == expected.tobytes()
+    assert ran == []  # both batches' trunk outputs were cached
+    # The steps hold what they read: an evicted entry is not forwarded again.
+    steps.engine.cache.clear()
+    assert steps.inputs(idx)[0].tobytes() == expected.tobytes()
+    assert ran == []
+    # New weights drop the held rows; the batches are forwarded again.
+    model.conv1.weight.data = model.conv1.weight.data * np.float32(0.5)
+    with no_grad():
+        expected = model(Tensor(images[idx])).data
+    assert steps.inputs(idx)[0].tobytes() == expected.tobytes()
+    assert ran

@@ -95,6 +95,20 @@ class TestBitFlips:
         with pytest.raises(QuantizationError):
             tiny_quantized.set_quantized(name, np.zeros(3, dtype=np.int8))
 
+    def test_write_byte_returns_the_previous_byte_and_dirties_only_a_change(
+        self, tiny_quantized
+    ):
+        name = tiny_quantized.parameter_names[0]
+        param = dict(tiny_quantized.module.named_parameters())[name]
+        before = tiny_quantized.quantized(name).reshape(-1)[1]
+        version = param.version
+        assert tiny_quantized.write_byte(1, before) == before
+        assert param.version == version  # an unchanged byte marks nothing dirty
+        new = np.int8(before ^ 1)
+        assert tiny_quantized.write_byte(1, new) == before
+        assert tiny_quantized.quantized(name).reshape(-1)[1] == new
+        assert param.version != version
+
     def test_clone_is_independent(self, tiny_quantized):
         clone = tiny_quantized.clone()
         tiny_quantized.apply_bit_flip(0, 0)

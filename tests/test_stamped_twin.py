@@ -282,8 +282,7 @@ def test_a_failed_probe_takes_the_full_pass(test_images, monkeypatch):
 
 
 def test_a_stage_that_fails_the_probe_runs_full_map(test_images, monkeypatch):
-    # The stem fails; with whole-map kept boxes the blocks after it still
-    # run on crops.
+    # The stem fails; the blocks after it still run on crops.
     passes = cone.stacked_gemm_matches
     monkeypatch.setattr(cone, "stacked_gemm_matches",
                         lambda n, conv: conv.k != 27 and passes(n, conv))
@@ -309,7 +308,6 @@ def test_the_one_sample_plan_equals_the_plan_of_a_taped_batch(name, size, corner
         reference.append(window)
         x = y
     assert cone.plan(plan.stages, test_images.shape[1:], box) == reference
-    assert all(w is None or w.whole for w in reference)
 
 
 # -- content-keyed signatures --------------------------------------------------

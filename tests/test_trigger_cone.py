@@ -24,6 +24,7 @@ from repro.autodiff.conv import max_pool2d
 from repro.backend import current_backend
 from repro.core.training import _evaluation_splits
 from repro.data.trigger import TriggerPattern
+from repro.engine import EvalEngine
 from repro.engine.plan import compile_plan
 from repro.errors import AttackError
 from repro.models import build_model
@@ -58,39 +59,49 @@ def _trigger(images, size, corner, seed):
     return trigger
 
 
-def _grads(model, data, idx, trigger, clean, cone_on):
+def _grads(model, data, idx, trigger, steps, cone_on):
+    clean_logits, stamped_forward = steps.inputs(idx)
     return attack_loss_and_grads(
         model, data.images[idx], data.labels[idx], trigger, 1, 0.5, param_names=(),
-        _clean_logits=clean(idx), _stamped_forward=clean.stamped_forward(idx) if cone_on else None,
+        _clean_logits=clean_logits, _stamped_forward=stamped_forward if cone_on else None,
     )
 
 
-def _planned(plan, data, idx, trigger):
-    """A ``_CleanLogits`` whose first (full, planning) stamped pass has run."""
-    clean = cft_module._CleanLogits(plan, data.images, trigger)
-    _grads(plan.module, data, idx, trigger, clean, cone_on=True)
-    return clean
+def _steps(model, data, trigger):
+    """Trigger-step inputs over ``data`` as CFT batches them, forwarded."""
+    images = data.images
+    batches = [images[:64]] + ([images[64:]] if len(images) > 64 else [])
+    steps = cft_module._TriggerSteps(EvalEngine(model), batches, trigger)
+    steps.forward()
+    return steps
+
+
+class _ConeRuns:
+    """Records each ``cone.forward`` call."""
+
+    def __init__(self, monkeypatch):
+        self.calls = 0
+        original = cone.forward
+
+        def recording(*args, **kwargs):
+            self.calls += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cone, "forward", recording)
 
 
 def _step(model, plan, data, idx, trigger, cone_on, train=False):
     """One trigger step; returns (ObjectiveGrads, whether cone.forward ran)."""
-    clean = _planned(plan, data, idx, trigger)
+    steps = _steps(model, data, trigger)
     if train:
         model.train()
-    ran = []
-    original = cone.forward
-
-    def recording(*args, **kwargs):
-        ran.append(1)
-        return original(*args, **kwargs)
-
-    cone.forward = recording
-    try:
-        grads = _grads(model, data, idx, trigger, clean, cone_on)
-    finally:
-        cone.forward = original
-        model.eval()
-    return grads, bool(ran)
+    with pytest.MonkeyPatch.context() as patch:
+        runs = _ConeRuns(patch)
+        try:
+            grads = _grads(model, data, idx, trigger, steps, cone_on)
+        finally:
+            model.eval()
+    return grads, bool(runs.calls)
 
 
 def _assert_same(full, windowed, mask):
@@ -130,26 +141,55 @@ def test_the_benchmark_geometries_take_the_cone(name, batch, attacker_images):
     _assert_same(full, windowed, trigger.mask)
 
 
-def test_cached_clean_outputs_keep_the_full_pass_memory_order(attacker_images):
+def test_gathered_clean_outputs_keep_the_full_pass_memory_order(attacker_images):
     model, plan = _model("resnet20")
     trigger = _trigger(attacker_images.images, 10, "bottom_right", 0)
-    idx = np.arange(32)
-    clean = _planned(plan, attacker_images, idx, trigger)
-    assert clean._windows and clean._outputs
-    x = cft_module.Tensor(attacker_images.images[idx])
-    for index, stage in enumerate(clean.trunk):
-        with cft_module.no_grad():
-            x = stage.fn(x)
-        if index in clean._outputs:
-            window = clean._windows[index]
-            gathered = clean._clean_output(index, idx)
-            expected = x.data[cone.region(window.kept)]
-            assert gathered.tobytes() == expected.tobytes()
-            if window.whole:  # read by the full-map stages that follow
-                assert gathered.strides == x.data.strides
-            else:  # read only by the next window's crop
-                assert np.argsort(gathered.strides).tolist() == np.argsort(x.data.strides).tolist()
-    assert clean._windows[-1].whole
+    idx = np.array([70, 3, 127, 64, 5, 63] * 4 + list(range(90, 98)))
+    steps = _steps(model, attacker_images, trigger)
+    windows = steps.engine.windows(cone.bounding_box(trigger.mask),
+                                   attacker_images.images.shape[1:])
+    assert any(windows)
+    x = Tensor(attacker_images.images[idx])
+    for index, window in enumerate(windows):
+        with no_grad():
+            x = plan.stages[index].fn(x)
+        if window is not None:
+            gathered = steps._gather(index, idx, plan.signatures())
+            assert gathered.tobytes() == x.data.tobytes()
+            assert gathered.strides == x.data.strides
+
+
+def test_steps_forward_nothing_again_when_the_batches_outgrow_the_cache(
+    attacker_images, monkeypatch
+):
+    # A budget of about one stage output of one batch: the LRU evicts
+    # what the steps read while the batches are forwarded.
+    model, plan = _model("resnet20")
+    trigger = _trigger(attacker_images.images, 10, "bottom_right", 0)
+    images = attacker_images.images
+    steps = cft_module._TriggerSteps(EvalEngine(model, byte_budget=1 << 20),
+                                     [images[:64], images[64:]], trigger)
+    steps.forward()
+    ran = []
+    original = EvalEngine.run_stage
+
+    def recording(engine, index, *args, **kwargs):
+        if engine is steps.engine:
+            ran.append(index)
+        return original(engine, index, *args, **kwargs)
+
+    monkeypatch.setattr(EvalEngine, "run_stage", recording)
+    rng = np.random.default_rng(7)
+    for _ in range(3):
+        idx = rng.choice(len(images), size=32, replace=False)
+        with pytest.MonkeyPatch.context() as patch:
+            runs = _ConeRuns(patch)
+            windowed = _grads(model, attacker_images, idx, trigger, steps, cone_on=True)
+        full = _grads(model, attacker_images, idx, trigger, _steps(model, attacker_images,
+                                                                    trigger), cone_on=False)
+        assert runs.calls
+        _assert_same(full, windowed, trigger.mask)
+    assert ran == []
 
 
 # -- fallbacks: each gives the full pass's bytes ------------------------------
@@ -196,26 +236,30 @@ def test_a_stage_that_fails_the_byte_check_runs_full_map(attacker_images, monkey
     assert _fallback_case("resnet20", attacker_images, trigger)
 
 
-def test_windows_before_a_failing_one_run_full_map(attacker_images, monkeypatch):
-    # Each window keeps only what the next crop reads, so when the last
-    # window fails the check, the ones before it have no full map to hand on.
-    _, plan = _model("resnet20")
+def test_windows_before_a_failing_one_still_run_on_crops(attacker_images, monkeypatch):
+    # Every window keeps its whole output map, so when the last window
+    # fails the check, the ones before it still hand on a full map.
+    model, _ = _model("resnet20")
     trigger = _trigger(attacker_images.images, 10, "bottom_right", 6)
-    last = _planned(plan, attacker_images, np.arange(32), trigger)._windows[-1]
+    windows = EvalEngine(model).windows(cone.bounding_box(trigger.mask),
+                                        attacker_images.images.shape[1:])
+    last = [w for w in windows if w is not None][-1]
     passes = cone.stacked_gemm_matches
     monkeypatch.setattr(cone, "stacked_gemm_matches",
                         lambda n, conv: conv not in last.convs and passes(n, conv))
-    assert not _fallback_case("resnet20", attacker_images, trigger)
+    assert _fallback_case("resnet20", attacker_images, trigger)
 
 
 def test_the_cone_forward_is_refused_when_weight_gradients_are_wanted(attacker_images):
     model, plan = _model("tinycnn")
     images, labels = attacker_images.images[:4], attacker_images.labels[:4]
     trigger = TriggerPattern.square(images.shape[1:], 4)
-    clean = cft_module._CleanLogits(plan, images, trigger)
+    _, stamped_forward = _steps(model, attacker_images.subset(np.arange(4)),
+                                trigger).inputs(np.arange(4))
+    assert stamped_forward is not None
     with pytest.raises(AttackError):
         attack_loss_and_grads(model, images, labels, trigger, 1, 0.5,
-                              _stamped_forward=clean.stamped_forward(np.arange(4)))
+                              _stamped_forward=stamped_forward)
 
 
 def test_stacked_gemm_check_rejects_a_rounding_difference(monkeypatch):
@@ -426,3 +470,48 @@ def test_attack_result_byte_equal_to_the_full_stamped_pass(
     assert windowed.backdoored_weights.tobytes() == full.backdoored_weights.tobytes()
     assert windowed.n_flip == full.n_flip
     assert windowed_bytes < full_bytes  # the cone's kernels moved less data
+
+
+def test_the_first_trigger_step_of_an_attack_runs_on_the_cone(attacker_images, monkeypatch):
+    ran = []
+    runs = _ConeRuns(monkeypatch)
+    original = cft_module.attack_loss_and_grads
+
+    def recording(*args, **kwargs):
+        before = runs.calls
+        result = original(*args, **kwargs)
+        if kwargs.get("param_names") == ():
+            ran.append(runs.calls > before)
+        return result
+
+    monkeypatch.setattr(cft_module, "attack_loss_and_grads", recording)
+    model = build_model("tinycnn", num_classes=10, width=WIDTHS["tinycnn"], rng=0)
+    config = AttackConfig(target_class=1, iterations=12, n_flip_budget=1, batch_size=128,
+                          epsilon=0.01, seed=0)
+    CFTAttack(config).run(QuantizedModel(model), attacker_images)
+    assert ran and all(ran)
+
+
+def test_the_cone_is_planned_once_per_box_and_shape_per_engine(attacker_images, monkeypatch):
+    planned, inside = [], []
+    original_plan, original_stage = cone.plan, cone.plan_stage
+
+    def plan(stages, shape, box):
+        planned.append((box, tuple(shape)))
+        inside.append(True)
+        try:
+            return original_plan(stages, shape, box)
+        finally:
+            inside.pop()
+
+    def plan_stage(*args, **kwargs):
+        assert inside, "a window was planned outside cone.plan"
+        return original_stage(*args, **kwargs)
+
+    monkeypatch.setattr(cone, "plan", plan)
+    monkeypatch.setattr(cone, "plan_stage", plan_stage)
+    model = build_model("tinycnn", num_classes=10, width=WIDTHS["tinycnn"], rng=0)
+    config = AttackConfig(target_class=1, iterations=12, n_flip_budget=2, batch_size=128,
+                          epsilon=0.01, seed=0)
+    CFTAttack(config).run(QuantizedModel(model), attacker_images)
+    assert len(planned) == 1  # shared by stamp and every trigger step

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Docs-freshness gate: fail CI when code outgrows the operator docs.
 
-Five invariants, each checked from the single source of truth in code so
+Six invariants, each checked from the single source of truth in code so
 the README runbook and DESIGN chapter cannot silently rot:
 
 1. Every CLI subcommand (from ``repro.cli.build_parser``) is mentioned in
@@ -18,6 +18,10 @@ the README runbook and DESIGN chapter cannot silently rot:
 5. The reverse of 2 for the runbook: every backticked slug in the first
    column of README.md's "Merge failures are structured" table is a
    registered ``MergeError`` cause, so a deleted cause cannot linger there.
+6. Every backticked ``.py`` path under ``src/``, ``tests/``, ``benchmarks/``,
+   ``tools/`` or ``perfbench/`` in README.md, DESIGN.md or ROADMAP.md
+   exists (anything after a space or ``::`` is stripped), so a deleted or
+   renamed file cannot linger in the docs.
 
 Run from the repo root: ``PYTHONPATH=src python tools/check_docs.py``.
 Exit code 0 when the docs are fresh, 1 with a per-item report otherwise.
@@ -34,6 +38,7 @@ REPO = Path(__file__).resolve().parent.parent
 _RAISE_RE = re.compile(r"MergeError\(\s*[\"']([a-z-]+)[\"']")
 _HEALTH_RE = re.compile(r"health_issue\(\s*\n?\s*[\"']([a-z-]+)[\"']")
 _RUNBOOK_MARKER = "Merge failures are structured"
+_PATH_RE = re.compile(r"`((?:src|tests|benchmarks|tools|perfbench)/[^`\s:]*\.py)(?:[ :][^`]*)?`")
 
 
 def cli_subcommands():
@@ -78,6 +83,12 @@ def runbook_causes(readme):
         elif in_table:
             break
     return causes
+
+
+def missing_paths(texts, root: Path = REPO):
+    """The backticked ``.py`` paths in ``texts`` that do not exist under ``root``."""
+    paths = {match for text in texts for match in _PATH_RE.findall(text)}
+    return sorted(path for path in paths if not (root / path).is_file())
 
 
 def main() -> int:
@@ -145,6 +156,10 @@ def main() -> int:
             f"health cause `{cause}` is registered but never emitted "
             "(stale registry entry?)"
         )
+
+    roadmap = (REPO / "ROADMAP.md").read_text(encoding="utf-8")
+    for path in missing_paths((readme, design, roadmap)):
+        problems.append(f"`{path}` is named in the docs but does not exist")
 
     if problems:
         print("docs freshness check FAILED:", file=sys.stderr)
