@@ -13,8 +13,8 @@ Usage (after ``pip install -e .``):
     python -m repro.cli sweep --shard 1/2 --out s1.json --journal shard1.jsonl   # host B
     python -m repro.cli merge shard0.jsonl shard1.jsonl --out rows.json
     python -m repro.cli sweep --queue /shared/q --out w.json    # any number of hosts
-    python -m repro.cli queue-status /shared/q
-    python -m repro.cli watch /shared/q                # live fleet dashboard
+    python -m repro.cli queue-status /shared/q         # one snapshot; exit 0 once drained
+    python -m repro.cli watch /shared/q                # the same snapshot, refreshed
     python -m repro.cli watch /shared/q --once --json  # one snapshot, for scripts
     python -m repro.cli merge /shared/q --out rows.json
     python -m repro.cli report flight.jsonl
@@ -353,6 +353,18 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return 1 if result.failures else 0
 
 
+def _print_snapshot(fleet, as_json: bool) -> None:
+    """Print one ``repro-live/1`` queue snapshot as JSON or as text."""
+    import json
+
+    from repro.telemetry.live import format_fleet
+
+    if as_json:
+        print(json.dumps(fleet, indent=2, sort_keys=True))
+    else:
+        print(format_fleet(fleet), end="")
+
+
 def _cmd_watch(args: argparse.Namespace) -> int:
     """``repro watch QUEUE``: live fleet dashboard over beacons + queue state.
 
@@ -361,30 +373,22 @@ def _cmd_watch(args: argparse.Namespace) -> int:
     ``--once`` the dashboard refreshes every ``--interval`` seconds until
     the queue drains.
     """
-    import json
     import time
 
     from repro.errors import SweepError
-    from repro.telemetry.live import (
-        HealthThresholds,
-        fleet_status,
-        format_fleet,
-        write_fleet_trace,
-    )
+    from repro.parallel.scheduler import queue_status
+    from repro.telemetry.live import HealthThresholds, write_fleet_trace
 
     thresholds = HealthThresholds(stall_after_seconds=args.stall_after)
     while True:
         try:
-            fleet = fleet_status(args.queue, thresholds=thresholds)
+            fleet = queue_status(args.queue, thresholds=thresholds)
         except SweepError as exc:
             print(f"watch failed: {exc}", file=sys.stderr)
             return 2
-        if args.json:
-            print(json.dumps(fleet, indent=2, sort_keys=True))
-        else:
-            if not args.once and sys.stdout.isatty():
-                print("\x1b[2J\x1b[H", end="")
-            print(format_fleet(fleet), end="")
+        if not args.json and not args.once and sys.stdout.isatty():
+            print("\x1b[2J\x1b[H", end="")
+        _print_snapshot(fleet, args.json)
         if args.once or fleet["drained"]:
             break
         time.sleep(args.interval)
@@ -399,35 +403,20 @@ def _cmd_watch(args: argparse.Namespace) -> int:
 
 
 def _cmd_queue_status(args: argparse.Namespace) -> int:
-    import json
+    """``repro queue-status QUEUE``: the snapshot ``repro watch --once`` prints.
 
+    Exit code 0 when the queue is drained, 1 while tasks are open, 2 on error.
+    """
     from repro.errors import SweepError
     from repro.parallel.scheduler import queue_status
 
     try:
-        status = queue_status(args.queue)
+        fleet = queue_status(args.queue)
     except SweepError as exc:
         print(f"queue-status failed: {exc}", file=sys.stderr)
         return 2
-    if args.json:
-        print(json.dumps(status.to_json(), indent=2, sort_keys=True))
-    else:
-        print(f"queue {args.queue} (grid {status.grid_sha[:12]}):")
-        print(f"  done:    {status.done}/{status.total_tasks} "
-              f"({status.failed} failed)")
-        print(f"  leased:  {status.leased} ({status.expired} expired/stealable)")
-        print(f"  open:    {status.open_tasks}")
-        print(f"  workers: {', '.join(status.workers) or '(none yet)'}")
-        for worker, age in sorted(status.heartbeats.items()):
-            print(f"  heartbeat {worker}: {age:.1f}s ago")
-        for lease in status.leases:
-            remaining = lease.get("expires_in_seconds")
-            countdown = "?" if remaining is None else f"{remaining:.1f}s"
-            state = "EXPIRED" if lease.get("expired") else f"expires in {countdown}"
-            print(f"  lease {lease['task_id']} -> {lease.get('worker')} ({state})")
-        for issue in status.health:
-            print(f"  health [{issue['cause']}]: {issue['message']}")
-    return 0 if status.complete else 1
+    _print_snapshot(fleet, args.json)
+    return 0 if fleet["drained"] else 1
 
 
 def _expand_journal_args(paths):
@@ -687,8 +676,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     status = sub.add_parser(
         "queue-status",
-        help="inspect a queue directory: done/leased/open counts per worker "
-             "(exit 0 when the queue is fully drained, 1 otherwise)",
+        help="print a queue directory's repro-live/1 snapshot once, the one "
+             "`watch --once` prints (exit 0 when the queue is fully drained, "
+             "1 while tasks are open, 2 on error)",
     )
     status.add_argument("queue", help="queue directory (as passed to sweep --queue)")
     status.add_argument("--json", action="store_true",

@@ -86,7 +86,8 @@ class MergeError(SweepError):
 #: may emit, mirroring :data:`MERGE_ERROR_CAUSES`: machine-readable, in one
 #: registry, and required (by ``tools/check_docs.py``) to be documented in
 #: both README.md and DESIGN.md.  Health issues are advisory observations
-#: over a *live* fleet (``repro watch`` / ``repro queue-status``), not
+#: over a *live* fleet (the ``health`` list of the ``repro-live/1`` queue
+#: snapshot that ``repro queue-status`` and ``repro watch`` print), not
 #: exceptions -- the determinism contract is unaffected either way.
 #:
 #: - ``"stalled-worker"``       -- a worker's beacon stopped updating while

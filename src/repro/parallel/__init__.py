@@ -43,13 +43,12 @@ from repro.parallel.runner import SweepResult, TaskOutcome, run_sweep
 from repro.parallel.scheduler import (
     QueueManifest,
     QueueRunResult,
-    QueueStatus,
     init_queue,
     load_queue,
     queue_status,
     run_queue,
 )
-from repro.parallel.worker import execute_task, reset_worker_state
+from repro.parallel.worker import execute_task
 
 __all__ = [
     "JOURNAL_SCHEMA",
@@ -58,7 +57,6 @@ __all__ = [
     "MergeResult",
     "QueueManifest",
     "QueueRunResult",
-    "QueueStatus",
     "ShardSpec",
     "SweepGrid",
     "SweepJournal",
@@ -74,7 +72,6 @@ __all__ = [
     "merged_events",
     "merged_metrics",
     "queue_status",
-    "reset_worker_state",
     "run_queue",
     "run_sweep",
     "task_ids_of",

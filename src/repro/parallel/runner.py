@@ -8,6 +8,8 @@ temporary directory.  Three guarantees:
 - **Determinism**: every task carries its own explicit seed, result rows
   are returned in grid order, and worker telemetry is merged in grid order
   -- so ``workers=N`` never changes any output, numeric or telemetric.
+  A grid that spawned workers could not run the same way (a device
+  profile registered only in this process) is refused up front.
 - **Checkpointing**: each finished task is appended (and flushed) to a
   JSONL journal as soon as it commits; ``resume=True`` skips tasks the
   journal already records as successful, re-running only the remainder.
@@ -161,7 +163,10 @@ def run_sweep(
 
     ``workers <= 1`` executes tasks inline -- numerically identical to a
     run over local queue workers, since each task is a pure function of its
-    descriptor.  ``capture_telemetry`` defaults to the parent's
+    descriptor.  Spawned workers know only the built-in Table I device
+    profiles, so with ``workers > 1`` a task on a device registered in
+    this process raises :class:`SweepError` before anything is journaled.
+    ``capture_telemetry`` defaults to the parent's
     :func:`repro.telemetry.enabled` state; when on, worker metrics and
     span trees are merged into the parent registry in grid order.
     ``capture_events`` likewise defaults to
@@ -191,6 +196,8 @@ def run_sweep(
     sha = grid_sha_of(full_tasks)
     spec = ShardSpec.coerce(shard) if shard is not None else ShardSpec(0, 1)
     tasks = list(spec.slice(full_tasks))
+    if workers > 1:
+        _refuse_custom_devices(tasks)
     if capture_telemetry is None:
         capture_telemetry = telemetry.enabled()
     if capture_events is None:
@@ -278,6 +285,24 @@ def run_sweep(
 
 
 # ---------------------------------------------------------------------------
+def _refuse_custom_devices(tasks: Sequence[SweepTask]) -> None:
+    """Reject devices that spawned workers cannot resolve.
+
+    A spawned worker starts as a fresh interpreter and knows only the
+    built-in Table I profiles, so a device registered in this process with
+    :func:`repro.rowhammer.register_profile` would fail every task there.
+    """
+    from repro.rowhammer.device_profiles import DEVICE_PROFILES
+
+    unknown = sorted({task.device for task in tasks} - set(DEVICE_PROFILES))
+    if unknown:
+        raise SweepError(
+            f"device(s) {', '.join(unknown)} are not built-in Table I profiles; "
+            "spawned sweep workers cannot resolve a profile registered in this "
+            "process, so run this grid with workers=1"
+        )
+
+
 def _open_journal(
     journal_path: str,
     sha: str,
@@ -378,7 +403,6 @@ def _queue_worker(queue_dir: str, worker_id: str, options: Dict[str, object]) ->
     """Body of one spawned local worker: drain the private queue."""
     from repro.parallel.scheduler import run_queue  # it imports this module
 
-    worker.reset_worker_state()
     run_queue(queue_dir, worker_id=worker_id, beacon_interval=0, **options)
 
 

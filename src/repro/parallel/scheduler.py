@@ -344,14 +344,14 @@ def _create_lease(manifest: QueueManifest, index: int, worker_id: str) -> Option
     return lease
 
 
-def _lease_expired(path: Path, default_ttl: float) -> bool:
-    """Whether the lease at ``path`` is past its deadline.
+def _lease_expired(path: Path, default_ttl: float, now: Optional[float] = None) -> bool:
+    """Whether the lease at ``path`` is past its deadline at ``now`` (default: current time).
 
     A torn/unreadable lease (its owner died inside the initial write)
     falls back to file-mtime + TTL, so it too becomes stealable instead
     of wedging the task forever.
     """
-    now = time.time()
+    now = time.time() if now is None else now
     try:
         payload = json.loads(path.read_text(encoding="utf-8"))
         return now > float(payload["deadline_unix"])
@@ -456,64 +456,24 @@ def try_commit(manifest: QueueManifest, lease: Lease, status: str) -> Tuple[bool
 # ---------------------------------------------------------------------------
 # Status
 # ---------------------------------------------------------------------------
-@dataclasses.dataclass
-class QueueStatus:
-    """Point-in-time snapshot of a queue directory (``repro queue-status``).
-
-    Besides the drain counts, the snapshot carries the live-side view:
-    per-lease expiry countdowns, per-worker beacon heartbeat ages, the
-    failed-commit count and any structured health causes
-    (:data:`repro.errors.HEALTH_CAUSES`) detected over beacons + queue
-    state.  All live fields are advisory; the counts alone decide the
-    exit code of ``repro queue-status``.
-    """
-
-    grid_sha: str
-    total_tasks: int
-    done: int
-    leased: int
-    expired: int
-    workers: List[str]
-    failed: int = 0
-    leases: List[Dict[str, object]] = dataclasses.field(default_factory=list)
-    heartbeats: Dict[str, float] = dataclasses.field(default_factory=dict)
-    health: List[Dict[str, object]] = dataclasses.field(default_factory=list)
-    beacons: List[Dict[str, object]] = dataclasses.field(default_factory=list)
-
-    @property
-    def open_tasks(self) -> int:
-        return self.total_tasks - self.done
-
-    @property
-    def complete(self) -> bool:
-        return self.done >= self.total_tasks
-
-    def to_json(self) -> Dict[str, object]:
-        # Beacons are exposed in full by `repro watch`; here only their
-        # heartbeat ages, to keep queue-status output compact.
-        return {
-            "grid_sha": self.grid_sha,
-            "total_tasks": self.total_tasks,
-            "done": self.done,
-            "failed": self.failed,
-            "open": self.open_tasks,
-            "leased": self.leased,
-            "expired_leases": self.expired,
-            "complete": self.complete,
-            "workers": self.workers,
-            "leases": self.leases,
-            "heartbeats": self.heartbeats,
-            "health": self.health,
-        }
-
-
 def queue_status(
     path: Union[str, Path],
     now: Optional[float] = None,
     thresholds: Optional["live.HealthThresholds"] = None,
-) -> QueueStatus:
-    """Inspect a queue directory without mutating it."""
+) -> Dict[str, object]:
+    """The ``repro-live/1`` snapshot of a queue directory (never mutates it).
+
+    ``repro queue-status`` and ``repro watch`` both print this document:
+    drain counts, per-lease expiry countdowns, the journal owners, every
+    worker beacon with its ``heartbeat_age_seconds``, lease churn and the
+    structured health causes (:data:`repro.errors.HEALTH_CAUSES`).
+    Throughput sums the rolling rates of workers that are alive and not
+    finished; the ETA is ``open / throughput`` (``None`` while nothing is
+    moving).  Everything but the counts is advisory -- the snapshot races
+    the fleet it observes.
+    """
     manifest = load_queue(path)
+    t = thresholds or live.HealthThresholds()
     clock = time.time() if now is None else now
     done = failed = leased = expired = 0
     leases: List[Dict[str, object]] = []
@@ -527,50 +487,68 @@ def queue_status(
         lease_path = manifest.lease_path(index)
         if lease_path.exists():
             leased += 1
-            is_expired = _lease_expired(lease_path, manifest.lease_ttl)
+            is_expired = _lease_expired(lease_path, manifest.lease_ttl, clock)
             if is_expired:
                 expired += 1
-            entry: Dict[str, object] = {
-                "task_id": manifest.tasks[index].task_id,
-                "expired": is_expired,
-            }
             payload = read_json(lease_path) or {}
             deadline = payload.get("deadline_unix")
-            entry["worker"] = payload.get("worker")
-            entry["expires_in_seconds"] = (
-                None if deadline is None else round(float(deadline) - clock, 3)
-            )
-            leases.append(entry)
-    workers = [p.name[: -len(".journal.jsonl")] for p in manifest.journal_paths()]
+            leases.append({
+                "task_id": manifest.tasks[index].task_id,
+                "expired": is_expired,
+                "worker": payload.get("worker"),
+                "expires_in_seconds": (
+                    None if deadline is None else round(float(deadline) - clock, 3)
+                ),
+            })
     beacons = live.read_beacons(manifest.root / BEACON_DIR)
-    heartbeats = {
-        str(b.get("worker", "?")): round(
-            max(0.0, clock - float(b.get("updated_unix") or clock)), 3
-        )
-        for b in beacons
+    workers: List[Dict[str, object]] = []
+    throughput = 0.0
+    for beacon in beacons:
+        age = max(0.0, clock - float(beacon.get("updated_unix") or clock))
+        workers.append({**beacon, "heartbeat_age_seconds": round(age, 3)})
+        if beacon.get("phase") != "done" and age <= t.stall_after_seconds:
+            throughput += float(beacon.get("rate_tasks_per_s") or 0.0)
+    throughput = round(throughput, 6)
+    open_tasks = manifest.total_tasks - done
+    drained = open_tasks <= 0
+    if drained:
+        eta: Optional[float] = 0.0
+    elif throughput > 0:
+        eta = round(open_tasks / throughput, 3)
+    else:
+        eta = None
+    return {
+        "schema": live.LIVE_SCHEMA,
+        "queue": str(path),
+        "grid_sha": manifest.grid_sha,
+        "total_tasks": manifest.total_tasks,
+        "done": done,
+        "failed": failed,
+        "open": open_tasks,
+        "leased": leased,
+        "expired_leases": expired,
+        "drained": drained,
+        "drain_percent": round(100.0 * done / manifest.total_tasks, 2),
+        "throughput_tasks_per_s": throughput,
+        "eta_seconds": eta,
+        "lease_churn": {
+            "expired_leases": expired,
+            "steals": sum(int(b.get("steals") or 0) for b in beacons),
+            "superseded": sum(int(b.get("superseded") or 0) for b in beacons),
+        },
+        "leases": leases,
+        "journals": [p.name[: -len(".journal.jsonl")] for p in manifest.journal_paths()],
+        "workers": workers,
+        "health": live.detect_health(
+            total_tasks=manifest.total_tasks,
+            done=done,
+            failed=failed,
+            beacons=beacons,
+            expired_leases=expired,
+            now=clock,
+            thresholds=t,
+        ),
     }
-    health = live.detect_health(
-        total_tasks=manifest.total_tasks,
-        done=done,
-        failed=failed,
-        beacons=beacons,
-        expired_leases=expired,
-        now=clock,
-        thresholds=thresholds,
-    )
-    return QueueStatus(
-        grid_sha=manifest.grid_sha,
-        total_tasks=manifest.total_tasks,
-        done=done,
-        leased=leased,
-        expired=expired,
-        workers=workers,
-        failed=failed,
-        leases=leases,
-        heartbeats=heartbeats,
-        health=health,
-        beacons=beacons,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -618,7 +596,6 @@ class QueueRunResult(GridOutcomes):
     journal_path: str
     claims: int = 0
     steals: int = 0
-    lease_expired: int = 0
     superseded: int = 0
 
 
@@ -681,21 +658,10 @@ def run_queue(
         check_owner(state.header, journal_path, manifest.grid_sha, wid)
 
     committed: List[Tuple[int, TaskOutcome]] = []
-    counters = {"claims": 0, "steals": 0, "lease_expired": 0, "superseded": 0}
+    # This worker's one tally, under its beacon field names.
+    tally = {"tasks_done": 0, "tasks_failed": 0, "claims": 0, "steals": 0, "superseded": 0}
 
     beacon: Optional[live.BeaconWriter] = None
-    failed_count = 0
-
-    def _beacon_counts() -> Dict[str, object]:
-        return {
-            "tasks_done": len(committed),
-            "tasks_failed": failed_count,
-            "claims": counters["claims"],
-            "steals": counters["steals"],
-            "lease_expired": counters["lease_expired"],
-            "superseded": counters["superseded"],
-        }
-
     if beacon_interval and beacon_interval > 0:
         beacon = live.BeaconWriter(
             manifest.beacon_path(wid), worker=wid, interval=beacon_interval,
@@ -715,24 +681,21 @@ def run_queue(
             wid, manifest.root, manifest.total_tasks, manifest.lease_ttl,
         )
         while True:
-            if max_tasks is not None and counters["claims"] >= max_tasks:
+            if max_tasks is not None and tally["claims"] >= max_tasks:
                 break
             lease, stole, open_tasks = claim_next(manifest, wid)
             if lease is None:
                 if open_tasks == 0 or not wait_for_completion:
                     break
                 if beacon is not None:
-                    beacon.update(phase="idle", current_task=None, **_beacon_counts())
+                    beacon.update(phase="idle", current_task=None, **tally)
                 time.sleep(poll_seconds)
                 continue
-            counters["claims"] += 1
+            tally["claims"] += 1
             if stole:
-                counters["steals"] += 1
-                counters["lease_expired"] += 1
+                tally["steals"] += 1
             if beacon is not None:
-                beacon.update(
-                    phase="running", current_task=lease.task_id, **_beacon_counts()
-                )
+                beacon.update(phase="running", current_task=lease.task_id, **tally)
             heartbeat = _Heartbeat(lease).start()
             try:
                 if fault_delay > 0:
@@ -758,8 +721,9 @@ def run_queue(
             won, winner = try_commit(manifest, lease, outcome.status)
             if won:
                 committed.append((lease.task_index, outcome))
+                tally["tasks_done"] += 1
                 if outcome.status == "failed":
-                    failed_count += 1
+                    tally["tasks_failed"] += 1
                 telemetry.event(
                     "sched.commit", task_id=outcome.task.task_id, worker=wid,
                     status=outcome.status,
@@ -769,7 +733,7 @@ def run_queue(
                 # yet finished anyway).  Retract our record: the tombstone
                 # supersedes it on journal load, and names the winner so
                 # merge -- and operators -- can audit the race.
-                counters["superseded"] += 1
+                tally["superseded"] += 1
                 telemetry.counter_add("sched.superseded")
                 telemetry.event(
                     "sched.superseded", task_id=outcome.task.task_id, worker=wid,
@@ -788,18 +752,18 @@ def run_queue(
                 )
             lease.release()
             if beacon is not None:
-                beacon.update(phase="running", current_task=None, **_beacon_counts())
+                beacon.update(phase="running", current_task=None, **tally)
     finally:
         journal.close()
         if beacon is not None:
-            beacon.update(**_beacon_counts())
+            beacon.update(**tally)
             beacon.stop(phase="done")
     # Grid-ordered, like SweepResult.outcomes -- steals can commit tasks
     # out of claim order.
     outcomes = [outcome for _, outcome in sorted(committed, key=lambda item: item[0])]
     log.info(
         "queue worker %s finished: %d committed, %d stolen, %d superseded",
-        wid, len(outcomes), counters["steals"], counters["superseded"],
+        wid, len(outcomes), tally["steals"], tally["superseded"],
     )
     return QueueRunResult(
         outcomes=outcomes,
@@ -807,8 +771,7 @@ def run_queue(
         total_tasks=manifest.total_tasks,
         worker=wid,
         journal_path=str(journal_path),
-        claims=counters["claims"],
-        steals=counters["steals"],
-        lease_expired=counters["lease_expired"],
-        superseded=counters["superseded"],
+        claims=tally["claims"],
+        steals=tally["steals"],
+        superseded=tally["superseded"],
     )

@@ -6,38 +6,13 @@ can import them by reference.  ``execute_task`` never raises -- failures
 come back as structured outcome dicts, so one crashing task degrades the
 sweep instead of killing it.
 
-Process-global mutable state audit (what :func:`reset_worker_state` must
-cover; every local queue worker calls it before its first claim, so a
-worker process starts from the same clean slate however it was started):
-
-- :mod:`repro.telemetry`'s module-level registry/tracer/recorder and its
-  two enabled flags (metrics and flight-recorder events) -- reset and
-  disabled here; each task records into fresh isolated state.
-- :mod:`repro.telemetry.live`'s registry of active beacon writers --
-  *discarded* here (no final write): a worker must never rewrite another
-  process's beacon or timeline ring as its own.
-- :mod:`repro.rowhammer.device_profiles`' custom-profile registry --
-  restored to the built-in Table I set.
-- The model-zoo disk cache (:mod:`repro.core.training`) is shared on
-  purpose; writes are atomic (temp file + rename), so concurrent workers
-  can never read a torn checkpoint.
-- :mod:`repro.core.training`'s split memo (the test and attacker splits
-  per ``(dataset, seed)``) needs no reset: its arrays are read-only and
-  fully determined by the key, so a stale entry cannot exist.
-- :data:`repro.models.MODEL_REGISTRY` and the quantization/page constants
-  are populated at import time and never mutated.
-- :mod:`repro.engine` has no module-level state: engine *instances* (and
-  their activation caches) are created per evaluation loop, so no cached
-  activations can leak across tasks or processes.
-- :mod:`repro.backend`'s process-wide kernel instance is created at
-  import time and holds no state (no threads, no caches).
-- The BLAS thread pool is sized once, when a process first loads NumPy.
-  Each local worker would start ``os.cpu_count()`` BLAS threads, so
-  several of them oversubscribe the host; :func:`blas_thread_cap` puts
-  ``cpu_count // processes`` threads in the environment the spawned
-  workers start from, where ``processes`` counts the workers actually
-  started, unless the user set a thread count.  Inline runs keep the
-  default.
+Process state.  A local queue worker is a spawned process: a fresh
+interpreter that inherits only its parent's environment.  It has no beacon
+writer and no custom device profile (``run_sweep`` refuses a custom device
+when it would spawn workers), its telemetry flags and BLAS thread count
+(:func:`blas_thread_cap`) come from the environment, and
+:func:`execute_task` runs every task in isolated telemetry state.  The
+model-zoo disk cache is shared on purpose; its writes are atomic.
 """
 
 from __future__ import annotations
@@ -50,19 +25,6 @@ from typing import Dict, Iterator, Optional
 
 from repro import telemetry
 from repro.parallel.grid import SweepTask
-from repro.rowhammer import device_profiles
-from repro.telemetry import live
-
-
-def reset_worker_state() -> None:
-    """Reset every known piece of process-global mutable state."""
-    telemetry.disable()
-    telemetry.disable_events()
-    telemetry.get_tracer().reset(force=True)
-    telemetry.get_registry().reset()
-    telemetry.get_recorder().reset()
-    live.reset_live()
-    device_profiles.reset_profiles()
 
 
 # The variables NumPy's BLAS builds read for their thread count.

@@ -77,9 +77,9 @@ DEVICE_PROFILES: Dict[str, DeviceProfile] = {**DDR3_PROFILES, **DDR4_PROFILES}
 PAPER_DDR3_REFERENCE = _ddr3("paper-ddr3", 381_962 / 32_768)
 
 # Custom (user-measured) profiles registered at runtime.  This is the one
-# piece of process-global mutable state in the module: parallel sweep
-# workers call :func:`reset_profiles` during initialization so profiles
-# registered in the parent never leak into (or differ across) workers.
+# piece of process-global mutable state in the module, and it lives in this
+# process only: a spawned sweep worker starts with the Table I set, so
+# ``run_sweep`` refuses a custom device when it would spawn workers.
 _CUSTOM_PROFILES: Dict[str, DeviceProfile] = {}
 
 

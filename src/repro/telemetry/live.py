@@ -1,4 +1,4 @@
-"""Live fleet observability: status beacons, health detection, fleet status.
+"""Live fleet observability: status beacons, health detection, the dashboard.
 
 Every other telemetry surface (metrics snapshots, flight records, traces,
 reports) is post-hoc; this module is the sidecar that makes a *running*
@@ -16,8 +16,10 @@ multi-host sweep observable without touching the determinism contract:
   state, mirroring the ``MergeError`` pattern: every cause is a registered
   slug in :data:`repro.errors.HEALTH_CAUSES` and documented in README and
   DESIGN (``tools/check_docs.py`` enforces both).
-- :func:`fleet_status` -- the aggregated snapshot behind ``repro watch``:
-  per-worker table, drain %, fleet throughput, ETA, lease churn, health.
+- :func:`format_fleet` -- the text rendering of the ``repro-live/1``
+  queue snapshot (:func:`repro.parallel.scheduler.queue_status`) that
+  ``repro queue-status`` and ``repro watch`` print: drain %, fleet
+  throughput, ETA, lease churn, leases, journals, workers and health.
 - :func:`fleet_trace_from_queue` -- stitches every worker's journaled
   spans/events into one Chrome-trace/Perfetto file with one lane (pid)
   per worker.
@@ -80,43 +82,6 @@ def _filtered_counters() -> Dict[str, float]:
 
 
 # ---------------------------------------------------------------------------
-# Fork-safety registry
-# ---------------------------------------------------------------------------
-_ACTIVE_LOCK = threading.Lock()
-_ACTIVE: List[object] = []
-
-
-def register_live(obj: object) -> None:
-    """Track a live writer so :func:`reset_live` can disown it."""
-    with _ACTIVE_LOCK:
-        _ACTIVE.append(obj)
-
-
-def unregister_live(obj: object) -> None:
-    with _ACTIVE_LOCK:
-        if obj in _ACTIVE:
-            _ACTIVE.remove(obj)
-
-
-def reset_live() -> None:
-    """Disown every live writer without a final write.
-
-    Called from :func:`repro.parallel.worker.reset_worker_state`: a forked
-    worker inherits the parent's module state (including any
-    :class:`BeaconWriter` object) but not its threads, and must never write
-    the parent's beacon path -- so inherited writers are discarded, not
-    stopped.
-    """
-    with _ACTIVE_LOCK:
-        stale = list(_ACTIVE)
-        _ACTIVE.clear()
-    for obj in stale:
-        discard = getattr(obj, "discard", None)
-        if callable(discard):
-            discard()
-
-
-# ---------------------------------------------------------------------------
 # Beacons
 # ---------------------------------------------------------------------------
 class BeaconWriter:
@@ -163,7 +128,6 @@ class BeaconWriter:
             "tasks_failed": 0,
             "claims": 0,
             "steals": 0,
-            "lease_expired": 0,
             "superseded": 0,
         }
         self._history: collections.deque = collections.deque(maxlen=16)
@@ -171,13 +135,11 @@ class BeaconWriter:
         self._ring: collections.deque = collections.deque(maxlen=TIMELINE_MAX_SAMPLES)
         self._ring_lines = 0
         self._stop = threading.Event()
-        self._discarded = False
         self._thread = threading.Thread(
             target=self._run, name=f"beacon-{self.worker}", daemon=True
         )
 
     def start(self) -> "BeaconWriter":
-        register_live(self)
         self.write()
         self._thread.start()
         return self
@@ -189,8 +151,6 @@ class BeaconWriter:
     def update(self, **fields: object) -> None:
         """Merge ``fields`` into the beacon and write it immediately."""
         with self._lock:
-            if self._discarded:
-                return
             before = self._fields.get("tasks_done")
             self._fields.update(fields)
             if self._fields.get("tasks_done") != before:
@@ -203,16 +163,8 @@ class BeaconWriter:
         if self._thread.is_alive():
             self._thread.join(timeout=2.0)
         with self._lock:
-            if not self._discarded:
-                self._fields["phase"] = phase
+            self._fields["phase"] = phase
         self.write()
-        unregister_live(self)
-
-    def discard(self) -> None:
-        """Abandon the beacon without writing (see :func:`reset_live`)."""
-        with self._lock:
-            self._discarded = True
-        self._stop.set()
 
     def payload(self) -> Dict[str, object]:
         """The beacon document (also records a rate-window sample)."""
@@ -248,12 +200,9 @@ class BeaconWriter:
             **fields,
         }
 
-    def write(self) -> Optional[Dict[str, object]]:
-        """Replace the beacon and append it to the ring; ``None`` once discarded."""
+    def write(self) -> Dict[str, object]:
+        """Replace the beacon and append it to the ring; returns the beacon."""
         with self._write_lock:
-            with self._lock:
-                if self._discarded:
-                    return None
             payload = self.payload()
             line = json.dumps(payload, sort_keys=True) + "\n"
             try:
@@ -387,7 +336,7 @@ def detect_health(
         worker = str(beacon.get("worker", "?"))
         updated = float(beacon.get("updated_unix") or clock)
         age = clock - updated
-        churn += int(beacon.get("lease_expired") or 0)
+        churn += int(beacon.get("steals") or 0)
         if age < -t.clock_skew_seconds:
             issues.append(
                 health_issue(
@@ -450,82 +399,22 @@ def detect_health(
 
 
 # ---------------------------------------------------------------------------
-# Fleet status (the `repro watch` snapshot)
+# The dashboard text of one queue snapshot
 # ---------------------------------------------------------------------------
-def fleet_status(
-    queue_dir: PathLike,
-    now: Optional[float] = None,
-    thresholds: Optional[HealthThresholds] = None,
-) -> Dict[str, object]:
-    """Aggregate queue state + beacons into one fleet snapshot document.
-
-    Throughput sums the rolling rates of workers that are alive and not
-    finished; the ETA is ``open / throughput`` (``None`` while nothing is
-    moving).  All of it is advisory -- the snapshot races the fleet it
-    observes.
-    """
-    from repro.parallel.scheduler import queue_status  # lazy: avoids a cycle
-
-    t = thresholds or HealthThresholds()
-    clock = time.time() if now is None else now
-    status = queue_status(queue_dir, now=clock, thresholds=t)
-
-    workers: List[Dict[str, object]] = []
-    throughput = 0.0
-    for beacon in status.beacons:
-        age = max(0.0, clock - float(beacon.get("updated_unix") or clock))
-        entry = dict(beacon)
-        entry["heartbeat_age_seconds"] = round(age, 3)
-        workers.append(entry)
-        if beacon.get("phase") != "done" and age <= t.stall_after_seconds:
-            throughput += float(beacon.get("rate_tasks_per_s") or 0.0)
-    throughput = round(throughput, 6)
-
-    drained = status.complete
-    if drained:
-        eta: Optional[float] = 0.0
-    elif throughput > 0:
-        eta = round(status.open_tasks / throughput, 3)
-    else:
-        eta = None
-
-    churn = {
-        "expired_leases": status.expired,
-        "lease_expiries_seen": sum(int(b.get("lease_expired") or 0) for b in status.beacons),
-        "steals": sum(int(b.get("steals") or 0) for b in status.beacons),
-        "superseded": sum(int(b.get("superseded") or 0) for b in status.beacons),
-    }
-    percent = 100.0 * status.done / status.total_tasks if status.total_tasks else 0.0
-    return {
-        "schema": LIVE_SCHEMA,
-        "queue": str(queue_dir),
-        "grid_sha": status.grid_sha,
-        "total_tasks": status.total_tasks,
-        "done": status.done,
-        "failed": status.failed,
-        "open": status.open_tasks,
-        "leased": status.leased,
-        "expired_leases": status.expired,
-        "drained": drained,
-        "drain_percent": round(percent, 2),
-        "throughput_tasks_per_s": throughput,
-        "eta_seconds": eta,
-        "lease_churn": churn,
-        "leases": status.leases,
-        "workers": workers,
-        "health": status.health,
-    }
-
-
 def format_fleet(fleet: Dict[str, object]) -> str:
-    """Human dashboard text for one :func:`fleet_status` snapshot."""
+    """Human text for one ``repro-live/1`` queue snapshot.
+
+    The snapshot is :func:`repro.parallel.scheduler.queue_status`'s
+    document; ``repro queue-status`` and ``repro watch`` both print it
+    through this renderer.
+    """
     eta = fleet.get("eta_seconds")
     eta_text = "-" if eta is None else f"{eta:.1f}s"
     lines = [
         f"queue {fleet['queue']} (grid {str(fleet['grid_sha'])[:12]}): "
         f"{fleet['done']}/{fleet['total_tasks']} done "
-        f"({fleet['drain_percent']:.1f}%), {fleet['leased']} leased, "
-        f"{fleet['failed']} failed",
+        f"({fleet['drain_percent']:.1f}%), {fleet['open']} open, "
+        f"{fleet['leased']} leased, {fleet['failed']} failed",
         f"throughput {fleet['throughput_tasks_per_s']:.3f} task/s, ETA {eta_text}, "
         f"drained: {'yes' if fleet['drained'] else 'no'}",
     ]
@@ -533,10 +422,15 @@ def format_fleet(fleet: Dict[str, object]) -> str:
     lines.append(
         "lease churn: "
         f"{churn.get('expired_leases', 0)} expired now, "
-        f"{churn.get('lease_expiries_seen', 0)} expiries seen, "
         f"{churn.get('steals', 0)} steal(s), "
         f"{churn.get('superseded', 0)} superseded"
     )
+    lines.append(f"journals: {', '.join(fleet.get('journals') or []) or '(none yet)'}")
+    for lease in fleet.get("leases") or []:
+        remaining = lease.get("expires_in_seconds")
+        countdown = "?" if remaining is None else f"{remaining:.1f}s"
+        state = "EXPIRED" if lease.get("expired") else f"expires in {countdown}"
+        lines.append(f"lease {lease['task_id']} -> {lease.get('worker')} ({state})")
     workers = fleet.get("workers") or []
     if workers:
         header = (

@@ -1,4 +1,4 @@
-"""The docs checker reports backticked source paths that do not exist."""
+"""The docs checker reports backticked source paths and flags that do not exist."""
 
 from __future__ import annotations
 
@@ -26,3 +26,19 @@ def test_the_docs_name_no_missing_path():
     docs = [(ROOT / name).read_text(encoding="utf-8")
             for name in ("README.md", "DESIGN.md", "ROADMAP.md")]
     assert _check_docs().missing_paths(docs) == []
+
+
+def test_an_undeclared_flag_is_reported():
+    check_docs = _check_docs()
+    declared = check_docs.declared_flags()
+    assert {"--workers", "--log-level", "--stall-after", "--seconds"} <= declared
+    text = ("`repro sweep --workers 2` and `repro watch --once --json` are\n"
+            "declared; `--no-such-flag` and `repro queue-status\n--stale-flag` are not.\n"
+            "```bash\npython -m pytest --benchmark-only\n```\n")
+    assert check_docs.undeclared_flags([text], declared) == ["--no-such-flag", "--stale-flag"]
+
+
+def test_the_docs_name_no_undeclared_flag():
+    check_docs = _check_docs()
+    docs = [(ROOT / name).read_text(encoding="utf-8") for name in ("README.md", "DESIGN.md")]
+    assert check_docs.undeclared_flags(docs, check_docs.declared_flags()) == []

@@ -3,15 +3,16 @@
 Layered cheapest-first, mirroring ``test_scheduler.py``:
 
 1. **Beacon units**: atomic writes, rolling rates under an injected clock,
-   reader tolerance to corrupt/foreign files, fork-discard semantics.
+   reader tolerance to corrupt/foreign files.
 2. **Timeline ring/OpenMetrics units**: the beacon writer's ring and its
    compaction, exposition format.
 3. **Health detection**: every registered ``HEALTH_CAUSES`` slug from
    synthetic beacons (pure-function, no sleeping).
 4. **Fleet end-to-end**: a two-worker fault-slowed queue drain with
    beacons and their timeline rings on merges byte-identical to the
-   unsharded run, ``fleet_status`` is sane mid-drain and after, and a
-   synthetic stalled worker surfaces in both ``queue-status`` and ``watch``.
+   unsharded run, the ``queue_status`` snapshot is sane mid-drain and
+   after, ``queue-status`` and ``watch`` print that one document, and a
+   synthetic stalled worker surfaces in both.
 """
 
 from __future__ import annotations
@@ -35,20 +36,17 @@ from repro.parallel import (
     write_merged_events,
 )
 from repro.parallel.scheduler import BEACON_DIR, claim_next
-from repro.parallel.worker import reset_worker_state
 from repro.telemetry.export import render_openmetrics, write_openmetrics
 from repro.telemetry.live import (
     BEACON_SUFFIX,
     BeaconWriter,
     HealthThresholds,
     detect_health,
-    fleet_status,
     fleet_trace_from_queue,
     format_fleet,
     health_issue,
     read_beacons,
     read_timeline,
-    reset_live,
     write_fleet_trace,
 )
 from repro.telemetry.registry import TelemetryError
@@ -113,7 +111,7 @@ def _beacon(worker="w1", now=1000.0, **overrides):
         "last_progress_unix": now,
         "tasks_done": 1,
         "tasks_failed": 0,
-        "lease_expired": 0,
+        "steals": 0,
         "rate_tasks_per_s": 1.0,
         "current_task": "t",
     }
@@ -147,6 +145,7 @@ class TestBeaconWriter:
             assert doc["schema"] == "repro-beacon/1"
             assert doc["worker"] == "w1" and doc["phase"] == "starting"
             assert doc["counters"] == {"sched.claims": 2.0}
+            assert doc["steals"] == 0
             # No torn temp files survive the atomic replace.
             assert list(tmp_path.glob("*.tmp")) == []
         finally:
@@ -191,32 +190,6 @@ class TestBeaconWriter:
         beacons = read_beacons(tmp_path)
         assert [b["worker"] for b in beacons] == ["aa", "good"]
         assert read_beacons(tmp_path / "missing") == []
-
-    def test_discard_stops_all_writes(self, tmp_path):
-        path = tmp_path / f"w{BEACON_SUFFIX}"
-        beacon = BeaconWriter(path, worker="w", interval=60.0, counters_fn=dict)
-        beacon.start()
-        before = path.read_text()
-        beacon.discard()
-        beacon.update(tasks_done=99)
-        beacon.stop()  # must not resurrect the file either
-        assert path.read_text() == before
-
-    def test_reset_worker_state_disowns_live_writers(self, tmp_path):
-        """A forked worker inherits the parent's writer objects; the
-        process-state reset must discard them so the child never rewrites
-        the parent's beacon path as its own."""
-        path = tmp_path / f"parent{BEACON_SUFFIX}"
-        ring = tmp_path / "parent.timeline.jsonl"
-        beacon = BeaconWriter(path, worker="parent", interval=60.0,
-                              counters_fn=dict, timeline_path=ring).start()
-        before, ring_before = path.read_text(), ring.read_text()
-        reset_worker_state()
-        beacon.update(tasks_done=42)
-        beacon.stop()
-        assert beacon.write() is None
-        assert path.read_text() == before and ring.read_text() == ring_before
-        reset_live()  # idempotent on an empty registry
 
 
 # ---------------------------------------------------------------------------
@@ -276,8 +249,7 @@ class TestTimelineSampler:
 
         def counting_write():
             payload = real_write()
-            if payload is not None:
-                written.append(payload)
+            written.append(payload)
             return payload
 
         beacon.write = counting_write
@@ -426,7 +398,7 @@ class TestDetectHealth:
         assert issues[0]["skew_seconds"] == pytest.approx(60.0)
 
     def test_expired_lease_churn_sums_beacons_and_queue(self):
-        beacons = [_beacon(worker="w1", now=self.NOW, lease_expired=2)]
+        beacons = [_beacon(worker="w1", now=self.NOW, steals=2)]
         issues = self._detect(beacons, expired=1)
         assert [i["cause"] for i in issues] == ["expired-lease-churn"]
         assert issues[0]["expired_total"] == 3
@@ -444,7 +416,7 @@ class TestDetectHealth:
             _beacon(worker="stale", updated_unix=self.NOW - 999),
             _beacon(worker="future", updated_unix=self.NOW + 60),
             _beacon(worker="wedged", updated_unix=self.NOW,
-                    last_progress_unix=self.NOW - 999, lease_expired=5),
+                    last_progress_unix=self.NOW - 999, steals=5),
         ]
         issues = self._detect(beacons, done=4, failed=2)
         assert {i["cause"] for i in issues} == HEALTH_CAUSES
@@ -482,7 +454,7 @@ class TestFleetEndToEnd:
         monkeypatch.delenv(scheduler.FAULT_DELAY_ENV)
 
         # Mid-drain snapshot: one worker finished its slice, queue not drained.
-        fleet = fleet_status(tmp_path / "q")
+        fleet = queue_status(tmp_path / "q")
         assert fleet["schema"] == "repro-live/1"
         assert not fleet["drained"] and fleet["done"] == 2
         assert [w["worker"] for w in fleet["workers"]] == ["slow"]
@@ -505,7 +477,7 @@ class TestFleetEndToEnd:
         assert not list((manifest.root / "journals").glob("*beacon*"))
 
         # Drained snapshot: ETA collapses to 0 and health is quiet.
-        fleet = fleet_status(tmp_path / "q")
+        fleet = queue_status(tmp_path / "q")
         assert fleet["drained"] and fleet["eta_seconds"] == 0.0
         assert fleet["done"] == 6 and fleet["health"] == []
         assert len(fleet["workers"]) == 2
@@ -513,24 +485,34 @@ class TestFleetEndToEnd:
         assert "drained: yes" in text and "health: ok" in text
 
     def test_queue_status_reports_heartbeats_and_lease_countdowns(self, tmp_path):
+        import time as _time
+
         grid = _grid()
         manifest = init_queue(tmp_path / "q", grid, lease_ttl=60.0)
         run_queue(tmp_path / "q", worker_id="w1", task_runner=_rich_runner,
                   max_tasks=1, wait_for_completion=False, beacon_interval=0.1)
         claim_next(manifest, "w2")  # a live lease, never executed
-        payload = queue_status(tmp_path / "q").to_json()
+        payload = queue_status(tmp_path / "q")
         assert payload["failed"] == 0
-        assert set(payload["heartbeats"]) == {"w1"}
-        assert payload["heartbeats"]["w1"] < 60.0
+        assert [w["worker"] for w in payload["workers"]] == ["w1"]
+        assert payload["workers"][0]["heartbeat_age_seconds"] < 60.0
         (lease,) = payload["leases"]
         assert lease["worker"] == "w2" and not lease["expired"]
         assert 0.0 < lease["expires_in_seconds"] <= 60.0
+        # One clock decides both a lease's countdown and its expiry.
+        later = queue_status(tmp_path / "q", now=_time.time() + 120.0)
+        (lease,) = later["leases"]
+        assert lease["expired"] and lease["expires_in_seconds"] < 0.0
+        assert later["expired_leases"] == 1
 
-    def test_synthetic_stalled_worker_surfaces_everywhere(self, tmp_path):
+    def test_synthetic_stalled_worker_surfaces_everywhere(self, tmp_path, capsys):
         """A beacon whose heartbeat went stale mid-drain must raise
-        ``stalled-worker`` in queue_status(), fleet_status() and the watch
-        CLI -- and its dead rate must not count toward fleet throughput."""
+        ``stalled-worker`` in queue_status() and in the text of both the
+        queue-status and watch CLIs -- and its dead rate must not count
+        toward fleet throughput."""
         import time as _time
+
+        from repro.cli import main
 
         grid = _grid()
         manifest = init_queue(tmp_path / "q", grid, lease_ttl=60.0)
@@ -542,15 +524,16 @@ class TestFleetEndToEnd:
         beacon_dir.mkdir(parents=True, exist_ok=True)
         (beacon_dir / f"ghost{BEACON_SUFFIX}").write_text(json.dumps(stale))
 
-        status = queue_status(tmp_path / "q")
-        causes = [issue["cause"] for issue in status.health]
-        assert "stalled-worker" in causes
-        assert status.to_json()["health"] == status.health
-
-        fleet = fleet_status(tmp_path / "q")
+        fleet = queue_status(tmp_path / "q")
         assert "stalled-worker" in [i["cause"] for i in fleet["health"]]
+        assert json.loads(json.dumps(fleet))["health"] == fleet["health"]
         assert fleet["throughput_tasks_per_s"] < 5.0
         assert "health [stalled-worker]" in format_fleet(fleet)
+        capsys.readouterr()
+        assert main(["queue-status", str(tmp_path / "q")]) == 1  # tasks open
+        assert main(["watch", str(tmp_path / "q"), "--once"]) == 0
+        out = capsys.readouterr().out
+        assert out.count("health [stalled-worker]") == 2
 
     def test_fleet_trace_stitches_one_lane_per_worker(self, tmp_path):
         grid = _grid(methods=("a", "b"), seeds=(0,))
@@ -568,9 +551,13 @@ class TestFleetEndToEnd:
         assert write_fleet_trace(out, tmp_path / "q") == len(trace["traceEvents"])
         validate_trace(json.loads(out.read_text()))
 
-    def test_fleet_status_rejects_non_queue_dir(self, tmp_path):
+    def test_queue_status_rejects_non_queue_dir(self, tmp_path, capsys):
+        from repro.cli import main
+
         with pytest.raises(SweepError, match="not a queue directory"):
-            fleet_status(tmp_path)
+            queue_status(tmp_path)
+        assert main(["queue-status", str(tmp_path)]) == 2
+        assert "queue-status failed" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -591,6 +578,32 @@ class TestWatchCli:
         fleet = json.loads(capsys.readouterr().out)
         assert fleet["schema"] == "repro-live/1"
         assert fleet["drained"] is True and fleet["health"] == []
+        assert [w["worker"] for w in fleet["workers"]] == ["w1"]
+
+    def test_queue_status_and_watch_print_one_document(self, tmp_path, capsys,
+                                                       monkeypatch):
+        """At one clock, ``queue-status --json`` and ``watch --once --json``
+        print the same repro-live/1 document; only the exit codes differ."""
+        import time as _time
+
+        from repro.cli import main
+
+        grid = _grid()
+        manifest = init_queue(tmp_path / "q", grid, lease_ttl=60.0)
+        run_queue(tmp_path / "q", worker_id="w1", task_runner=_rich_runner,
+                  max_tasks=2, wait_for_completion=False, beacon_interval=0.1)
+        claim_next(manifest, "w2")  # a live lease with a countdown
+        frozen = _time.time()
+        monkeypatch.setattr(_time, "time", lambda: frozen)
+        assert main(["queue-status", str(tmp_path / "q"), "--json"]) == 1
+        status = capsys.readouterr().out
+        assert main(["watch", str(tmp_path / "q"), "--once", "--json"]) == 0
+        assert capsys.readouterr().out == status
+        fleet = json.loads(status)
+        assert fleet["schema"] == "repro-live/1" and not fleet["drained"]
+        assert fleet["journals"] == ["w1"]
+        (lease,) = fleet["leases"]
+        assert lease["worker"] == "w2" and not lease["expired"]
         assert [w["worker"] for w in fleet["workers"]] == ["w1"]
 
     def test_watch_loops_until_drained_and_writes_trace(self, tmp_path, capsys):

@@ -25,12 +25,11 @@ from repro.parallel import (
     ensure_unique,
     execute_task,
     grid_sha_of,
-    reset_worker_state,
     run_sweep,
 )
 from repro.parallel.scheduler import DEFAULT_LEASE_TTL
 from repro.parallel.worker import BLAS_THREAD_VARS, blas_thread_cap
-from repro.rowhammer import available_profiles, register_profile, reset_profiles
+from repro.rowhammer import register_profile, reset_profiles
 from repro.rowhammer.device_profiles import DeviceProfile
 from repro.utils.rng import derive_seed
 
@@ -453,18 +452,26 @@ def test_worker_crash_never_charges_innocent_siblings():
 
 
 # ---------------------------------------------------------------------------
-# Worker state hygiene.
-def test_reset_worker_state_clears_forked_globals():
-    telemetry.enable()
-    telemetry.counter_add("stale.counter", 5)
-    register_profile(DeviceProfile(name="ZZ", ddr_version=4, flips_per_page=1.0,
-                                   trr_protected=False))
+# Custom device profiles live in this process only.
+def test_spawned_workers_refuse_custom_devices_before_journaling(tmp_path):
+    """Spawned workers know only Table I: with workers > 1 a grid over a
+    device registered here is refused, naming every such device, before
+    the journal is written; inline the same grid runs."""
+    for name in ("ZZ", "YY"):
+        register_profile(DeviceProfile(name=name, ddr_version=4, flips_per_page=1.0,
+                                       trr_protected=False))
+    grid = SweepGrid(methods=("a",), models=("m",), devices=("K1", "ZZ", "YY"),
+                     seeds=(0,))
+    journal = tmp_path / "j.jsonl"
     try:
-        assert "ZZ" in available_profiles()
-        reset_worker_state()
-        assert not telemetry.enabled()
-        assert telemetry.get_registry().snapshot()["counters"] == {}
-        assert "ZZ" not in available_profiles()
+        with pytest.raises(SweepError, match="YY, ZZ") as caught:
+            run_sweep(grid, workers=2, task_runner=_ok_runner,
+                      journal_path=str(journal))
+        assert "K1" not in str(caught.value)
+        assert not journal.exists()
+        result = run_sweep(grid, workers=1, task_runner=_ok_runner,
+                           journal_path=str(journal))
+        assert len(result.rows) == 3 and not result.failures
     finally:
         reset_profiles()
 

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Docs-freshness gate: fail CI when code outgrows the operator docs.
 
-Six invariants, each checked from the single source of truth in code so
+Seven invariants, each checked from the single source of truth in code so
 the README runbook and DESIGN chapter cannot silently rot:
 
 1. Every CLI subcommand (from ``repro.cli.build_parser``) is mentioned in
@@ -22,6 +22,12 @@ the README runbook and DESIGN chapter cannot silently rot:
    ``tools/`` or ``perfbench/`` in README.md, DESIGN.md or ROADMAP.md
    exists (anything after a space or ``::`` is stripped), so a deleted or
    renamed file cannot linger in the docs.
+7. Every ``--flag`` inside an inline backticked span of README.md or
+   DESIGN.md (fenced code blocks are skipped) is declared: by
+   ``repro.cli.build_parser()`` (any subcommand, or a global flag), or by
+   an ``add_argument("--...")`` in ``perfbench/run.py`` or ``tools/*.py``
+   (read as text, not imported) -- so a removed or renamed option cannot
+   linger in the docs.
 
 Run from the repo root: ``PYTHONPATH=src python tools/check_docs.py``.
 Exit code 0 when the docs are fresh, 1 with a per-item report otherwise.
@@ -39,6 +45,11 @@ _RAISE_RE = re.compile(r"MergeError\(\s*[\"']([a-z-]+)[\"']")
 _HEALTH_RE = re.compile(r"health_issue\(\s*\n?\s*[\"']([a-z-]+)[\"']")
 _RUNBOOK_MARKER = "Merge failures are structured"
 _PATH_RE = re.compile(r"`((?:src|tests|benchmarks|tools|perfbench)/[^`\s:]*\.py)(?:[ :][^`]*)?`")
+_FENCE_RE = re.compile(r"^```.*?^```", re.M | re.S)
+_FLAG_RE = re.compile(r"(?<![\w-])--[a-z][a-z0-9-]*")
+_ADD_ARGUMENT_RE = re.compile(
+    r"add_argument\(\s*(?:[\"']-[A-Za-z][\"']\s*,\s*)?[\"'](--[a-z][a-z0-9-]*)[\"']"
+)
 
 
 def cli_subcommands():
@@ -89,6 +100,32 @@ def missing_paths(texts, root: Path = REPO):
     """The backticked ``.py`` paths in ``texts`` that do not exist under ``root``."""
     paths = {match for text in texts for match in _PATH_RE.findall(text)}
     return sorted(path for path in paths if not (root / path).is_file())
+
+
+def declared_flags():
+    """Every ``--flag`` the CLI parser, ``perfbench/run.py`` or ``tools/*.py`` declares."""
+    from repro.cli import build_parser
+
+    flags = set()
+    parsers = [build_parser()]
+    while parsers:
+        parser = parsers.pop()
+        for action in parser._actions:  # noqa: SLF001
+            flags.update(s for s in action.option_strings if s.startswith("--"))
+            if isinstance(action, argparse._SubParsersAction):
+                parsers.extend(action.choices.values())
+    for path in [REPO / "perfbench" / "run.py", *sorted((REPO / "tools").glob("*.py"))]:
+        flags.update(_ADD_ARGUMENT_RE.findall(path.read_text(encoding="utf-8")))
+    return flags
+
+
+def undeclared_flags(texts, declared):
+    """The ``--flags`` in inline backticked spans of ``texts`` not in ``declared``."""
+    flags = set()
+    for text in texts:
+        for span in re.findall(r"`([^`]+)`", _FENCE_RE.sub("", text)):
+            flags.update(_FLAG_RE.findall(span))
+    return sorted(flags - set(declared))
 
 
 def main() -> int:
@@ -160,6 +197,11 @@ def main() -> int:
     roadmap = (REPO / "ROADMAP.md").read_text(encoding="utf-8")
     for path in missing_paths((readme, design, roadmap)):
         problems.append(f"`{path}` is named in the docs but does not exist")
+
+    for flag in undeclared_flags((readme, design), declared_flags()):
+        problems.append(
+            f"`{flag}` is named in README.md or DESIGN.md but no parser declares it"
+        )
 
     if problems:
         print("docs freshness check FAILED:", file=sys.stderr)
